@@ -14,20 +14,11 @@ import sys
 from typing import Sequence
 
 from .correspondence import rsk, rsk_inverse
-from .counting import (
-    bell_hook,
-    bell_rowsum,
-    count_lps,
-    count_rps,
-    hook_count,
-    parse_evaluation,
-    parse_shape,
-)
+from .counting import bell_hook, bell_rowsum, hook_count, parse_evaluation, parse_shape
 from .errors import InvalidInputError, NotInStablePairsError, PSTabError
-from .insertion import TableauPair, TwoRowedArray, extended_insert
+from .insertion import TableauPair, TwoRowedArray, extended_insert, mode_spec
 from .oracle import Budgets, count_set_partitions, verify_suite
 from .tableaux import (
-    Tableau,
     classify,
     render_ascii,
     render_latex,
@@ -120,8 +111,7 @@ def _cmd_unrsk(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     ev = parse_evaluation(args.evaluation)
-    value = count_lps(ev) if args.mode == "lps" else count_rps(ev)
-    print(value)
+    print(mode_spec(args.mode).count(ev))
     return 0
 
 

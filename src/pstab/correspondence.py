@@ -18,9 +18,9 @@ from .insertion import (
     Mode,
     TableauPair,
     TwoRowedArray,
-    _check_mode,
     array_insert,
     extended_insert,
+    mode_spec,
     read_by_recording,
     reverse_insertion,
 )
@@ -142,27 +142,25 @@ def is_stable_pair(pair: TableauPair, mode: Mode, level: StablePairLevel) -> boo
       the first is standardized before the standard test.
     * ``array``: both tableaux of the mode's kind; both are standardized.
     """
-    _check_mode(mode)
+    spec = mode_spec(mode)
     p, q = pair
     if p.shape != q.shape:
         raise InvalidInputError(f"tableau shapes differ: {p.shape} vs {q.shape}")
-    direction = "left" if mode == "lps" else "right"
-    flag = "is_lps" if mode == "lps" else "is_rps"
     if level == "standard":
         if not (classify(p).is_standard_ps and classify(q).is_standard_ps):
             raise InvalidInputError("standard level requires two standard tableaux")
         return _standard_stable(p, q)
     if level == "word":
-        if not getattr(classify(p), flag):
-            raise InvalidInputError(f"first tableau is not an {mode[0]}PS tableau")
+        if not getattr(classify(p), spec.flag):
+            raise InvalidInputError(f"first tableau is not an {spec.kind} tableau")
         if not classify(q).is_recording:
             raise InvalidInputError("word level requires a recording tableau")
-        return _standard_stable(standardize_tableau(p, direction), q)
+        return _standard_stable(standardize_tableau(p, spec.direction), q)
     if level == "array":
-        if not (getattr(classify(p), flag) and getattr(classify(q), flag)):
-            raise InvalidInputError(f"array level requires two {mode[0]}PS tableaux")
+        if not (getattr(classify(p), spec.flag) and getattr(classify(q), spec.flag)):
+            raise InvalidInputError(f"array level requires two {spec.kind} tableaux")
         return _standard_stable(
-            standardize_tableau(p, direction), standardize_tableau(q, direction)
+            standardize_tableau(p, spec.direction), standardize_tableau(q, spec.direction)
         )
     raise InvalidInputError(f"level must be one of {LEVELS}, got {level!r}")
 

@@ -279,28 +279,26 @@ def ps_project(t: Tableau, alphabet: Sequence[int] | None = None) -> Tableau:
         _, j, r = best
         cols[j][r], cols[i][0] = cols[i][0], cols[j][r]
         cols[i].sort()
-    return Tableau(cols)
+    return Tableau._trusted(cols)
+
+
+def _parse_ints(text: str, what: str, least: int) -> tuple[int, ...]:
+    """Comma- or whitespace-separated integers, each at least ``least``."""
+    tokens = text.replace(",", " ").split()
+    try:
+        values = tuple(int(tok) for tok in tokens)
+    except ValueError as exc:
+        raise InvalidInputError(f"cannot parse {what} {text!r}") from exc
+    if any(x < least for x in values):
+        raise InvalidInputError(f"{what} entries must be at least {least}")
+    return values
 
 
 def parse_evaluation(text: str) -> Evaluation:
     """Parse a comma- or whitespace-separated evaluation like ``"2,1,2"``."""
-    tokens = text.replace(",", " ").split()
-    try:
-        ev = tuple(int(tok) for tok in tokens)
-    except ValueError as exc:
-        raise InvalidInputError(f"cannot parse evaluation {text!r}") from exc
-    if any(x < 0 for x in ev):
-        raise InvalidInputError("evaluation entries must be nonnegative")
-    return ev
+    return _parse_ints(text, "evaluation", 0)
 
 
 def parse_shape(text: str) -> Shape:
     """Parse a comma- or whitespace-separated shape like ``"3,1"``."""
-    tokens = text.replace(",", " ").split()
-    try:
-        lam = tuple(int(tok) for tok in tokens)
-    except ValueError as exc:
-        raise InvalidInputError(f"cannot parse shape {text!r}") from exc
-    if any(x < 1 for x in lam):
-        raise InvalidInputError("shape parts must be positive")
-    return lam
+    return _parse_ints(text, "shape", 1)

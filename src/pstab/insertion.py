@@ -1,33 +1,28 @@
 """Patience sorting insertion: plain, extended, array-level, and reversed.
 
 Inserting a symbol probes the bottom row (the column heads, kept sorted by
-the insertion itself).  In lps mode the symbol starts a new rightmost column
-when it is >= every head and otherwise bumps the leftmost column whose head
-is strictly greater; rps mode starts a new column only when the symbol is
-strictly greater than every head and bumps the leftmost column whose head is
-greater or equal.  Bumping pushes the whole column up one box and places the
-new symbol in the freed bottom box, which on bottom-to-top column storage is
-a prepend.
+the insertion itself).  In lps mode the symbol bumps the leftmost column
+whose head is strictly greater; rps mode bumps the leftmost column whose head
+is greater or equal.  When no column qualifies the symbol starts a new
+rightmost column.  Bumping pushes the whole column up one box and places the
+new symbol in the freed bottom box.
+
+Every order choice that tells the two modes apart lives in one table,
+:data:`MODE_SPECS`; :func:`mode_spec` is the only place a mode is checked.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Literal, NamedTuple
+from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
+from .counting import count_lps, count_lps_rec, count_rps, count_rps_rec
 from .errors import InvalidInputError, ReverseInsertionError
 from .tableaux import Tableau, classify, reverse_columns
-from .words import Symbol, Word, format_word, parse_word
+from .words import Direction, Symbol, Word, check_word, format_word, parse_word
 
 Mode = Literal["lps", "rps"]
-
-MODES = ("lps", "rps")
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise InvalidInputError(f"mode must be 'lps' or 'rps', got {mode!r}")
 
 
 class TableauPair(NamedTuple):
@@ -81,8 +76,7 @@ class TwoRowedArray:
         return True
 
     def is_valid(self, mode: Mode) -> bool:
-        _check_mode(mode)
-        return self.is_lexicographic() if mode == "lps" else self.is_reverse_lexicographic()
+        return mode_spec(mode).is_valid_array(self)
 
     @classmethod
     def parse(cls, text: str) -> "TwoRowedArray":
@@ -99,32 +93,72 @@ class TwoRowedArray:
     def from_json(cls, obj: dict) -> "TwoRowedArray":
         if not isinstance(obj, dict) or "top" not in obj or "bottom" not in obj:
             raise InvalidInputError("expected a JSON object with 'top' and 'bottom' keys")
-        return cls(top=tuple(obj["top"]), bottom=tuple(obj["bottom"]))
+        return cls(top=check_word(obj["top"]), bottom=check_word(obj["bottom"]))
 
 
-def _insert_pairs(items: Iterable[tuple[Symbol, Symbol]], mode: Mode) -> TableauPair:
+@dataclass(frozen=True)
+class ModeSpec:
+    """The order choices that tell lPS from rPS.
+
+    ``bisect(heads, value)`` is the column a value bumps, or ``len(heads)``
+    for a new column.  Reverse insertion takes the largest label from the last
+    (``pick_last_top``) or else the first of the columns it tops.
+    """
+
+    kind: str
+    direction: Direction
+    flag: str
+    bisect: Callable[[Sequence[Symbol], Symbol], int]
+    is_valid_array: Callable[[TwoRowedArray], bool]
+    array_kind: str
+    pick_last_top: bool
+    count: Callable[[Iterable[int]], int]
+    count_rec: Callable[[Iterable[int]], int]
+
+
+MODE_SPECS: dict[str, ModeSpec] = {
+    "lps": ModeSpec(
+        "lPS", "left", "is_lps", bisect_right, TwoRowedArray.is_lexicographic,
+        "lexicographic (l-array)", True, count_lps, count_lps_rec,
+    ),
+    "rps": ModeSpec(
+        "rPS", "right", "is_rps", bisect_left, TwoRowedArray.is_reverse_lexicographic,
+        "reverse lexicographic (r-array)", False, count_rps, count_rps_rec,
+    ),
+}
+
+
+def mode_spec(mode: str) -> ModeSpec:
+    """The table entry of ``mode``; rejects anything but 'lps' and 'rps'."""
+    spec = MODE_SPECS.get(mode) if isinstance(mode, str) else None
+    if spec is None:
+        raise InvalidInputError(f"mode must be 'lps' or 'rps', got {mode!r}")
+    return spec
+
+
+def _insert_pairs(items: Iterable[tuple[Symbol, Symbol]], spec: ModeSpec) -> TableauPair:
     """Insert (bottom symbol, top label) pairs; labels land where boxes are created."""
     p_cols: list[list[Symbol]] = []
     q_cols: list[list[Symbol]] = []
     heads: list[Symbol] = []
     for value, label in items:
-        if not heads or (heads[-1] <= value if mode == "lps" else heads[-1] < value):
-            p_cols.append([value])
-            q_cols.append([label])
+        m = spec.bisect(heads, value)
+        if m == len(heads):
+            p_cols.append([])
+            q_cols.append([])
             heads.append(value)
-        else:
-            m = bisect_right(heads, value) if mode == "lps" else bisect_left(heads, value)
-            p_cols[m].insert(0, value)
-            q_cols[m].append(label)
-            heads[m] = value
-    return TableauPair(Tableau(p_cols), Tableau(q_cols))
+        p_cols[m].append(value)
+        q_cols[m].append(label)
+        heads[m] = value
+    # p columns grow top-first, so a bump is an append; flip them once here.
+    return TableauPair(
+        Tableau._trusted(col[::-1] for col in p_cols), Tableau._trusted(q_cols)
+    )
 
 
 def ps_insert(word: Iterable[Symbol], mode: Mode) -> Tableau:
     """Insert the symbols of ``word`` left to right into an lPS or rPS tableau."""
-    _check_mode(mode)
-    syms = tuple(word)
-    return _insert_pairs(zip(syms, range(1, len(syms) + 1)), mode).p
+    return extended_insert(word, mode).p
 
 
 def extended_insert(word: Iterable[Symbol], mode: Mode) -> TableauPair:
@@ -133,9 +167,9 @@ def extended_insert(word: Iterable[Symbol], mode: Mode) -> TableauPair:
     The first component equals :func:`ps_insert` of the word; the second is a
     recording tableau of the same shape.
     """
-    _check_mode(mode)
-    syms = tuple(word)
-    return _insert_pairs(zip(syms, range(1, len(syms) + 1)), mode)
+    spec = mode_spec(mode)
+    syms = check_word(word)
+    return _insert_pairs(zip(syms, range(1, len(syms) + 1)), spec)
 
 
 def array_insert(arr: TwoRowedArray, mode: Mode) -> TableauPair:
@@ -144,58 +178,42 @@ def array_insert(arr: TwoRowedArray, mode: Mode) -> TableauPair:
     Requires an l-array in lps mode and an r-array in rps mode; only then is
     the recording tableau guaranteed to be of the same kind.
     """
-    _check_mode(mode)
-    if not arr.is_valid(mode):
-        kind = "lexicographic (l-array)" if mode == "lps" else "reverse lexicographic (r-array)"
-        raise InvalidInputError(f"array ({arr}) is not {kind}")
-    return _insert_pairs(zip(arr.bottom, arr.top), mode)
-
-
-def _validate_pair(pair: TableauPair, mode: Mode) -> None:
-    p, q = pair
-    if p.shape != q.shape:
-        raise InvalidInputError(f"tableau shapes differ: {p.shape} vs {q.shape}")
-    flag = "is_lps" if mode == "lps" else "is_rps"
-    for name, t in (("first", p), ("second", q)):
-        if not getattr(classify(t), flag):
-            raise InvalidInputError(f"{name} tableau is not an {mode[0]}PS tableau")
+    spec = mode_spec(mode)
+    check_word(arr.top)
+    check_word(arr.bottom)
+    if not spec.is_valid_array(arr):
+        raise InvalidInputError(f"array ({arr}) is not {spec.array_kind}")
+    return _insert_pairs(zip(arr.bottom, arr.top), spec)
 
 
 def reverse_insertion(pair: TableauPair, mode: Mode) -> TwoRowedArray:
     """Mechanically unwind array insertion one box at a time.
 
-    Each step removes from the recording tableau the box holding its largest
-    symbol (the rightmost occurrence in lps mode; in rps mode the leftmost
-    column whose top box holds it) and from the insertion tableau the bottom
-    box of the same column, sliding the rest of that column down.  The removed
-    symbols, read in reverse order of removal, form the output array.
+    Each step removes from the recording tableau its largest symbol, taken
+    from the last column it tops in lps mode and the first in rps mode, and
+    from the insertion tableau the bottom box of the same column, sliding the
+    rest of that column down.  The removed symbols, read in reverse order of
+    removal, form the output array.
 
     Membership in the stable pairs set is not checked here: for pairs outside
     it the extracted array simply inserts to a different pair.
     """
-    _check_mode(mode)
-    _validate_pair(pair, mode)
+    spec = mode_spec(mode)
+    if pair.p.shape != pair.q.shape:
+        raise InvalidInputError(f"tableau shapes differ: {pair.p.shape} vs {pair.q.shape}")
+    for name, t in (("first", pair.p), ("second", pair.q)):
+        if not getattr(classify(t), spec.flag):
+            raise InvalidInputError(f"{name} tableau is not an {spec.kind} tableau")
     p_cols = [list(col) for col in pair.p.columns]
     q_cols = [list(col) for col in pair.q.columns]
     extracted: list[tuple[Symbol, Symbol]] = []
     total = sum(len(col) for col in q_cols)
     for step in range(total, 0, -1):
-        largest = max(sym for col in q_cols for sym in col)
-        if mode == "lps":
-            j = max(idx for idx, col in enumerate(q_cols) if largest in col)
-            if q_cols[j][-1] != largest:
-                raise ReverseInsertionError(
-                    f"largest symbol {largest!r} is not topmost in its column",
-                    step=step,
-                    column=j + 1,
-                )
-        else:
-            tops = [idx for idx, col in enumerate(q_cols) if col[-1] == largest]
-            if not tops:
-                raise ReverseInsertionError(
-                    f"largest symbol {largest!r} tops no column", step=step
-                )
-            j = tops[0]
+        largest = max(col[-1] for col in q_cols)  # columns increase upward
+        tops = [idx for idx, col in enumerate(q_cols) if col[-1] == largest]
+        if not tops:
+            raise ReverseInsertionError(f"largest symbol {largest!r} tops no column", step=step)
+        j = tops[-1] if spec.pick_last_top else tops[0]
         u = q_cols[j].pop()
         v = p_cols[j].pop(0)
         if not q_cols[j]:

@@ -10,6 +10,7 @@ a failing case is reproducible by its report line.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
@@ -19,13 +20,12 @@ from typing import Iterable, Iterator, Sequence
 
 from .correspondence import is_stable_pair, occurrences, rsk, rsk_inverse
 from .counting import (
+    _check_shape,
+    _normalize_evaluation,
     bell_hook,
     bell_rowsum,
     compositions,
-    count_lps,
-    count_lps_rec,
     count_rps,
-    count_rps_rec,
     fiber_size,
     hook_count,
     ps_project,
@@ -33,12 +33,13 @@ from .counting import (
 )
 from .errors import BudgetExceededError, InvalidInputError
 from .insertion import (
-    MODES,
+    MODE_SPECS,
     Mode,
     TableauPair,
     TwoRowedArray,
     array_insert,
     extended_insert,
+    mode_spec,
     ps_insert,
     read_by_recording,
     reverse_insertion,
@@ -51,7 +52,7 @@ from .tableaux import (
     reverse_columns,
     standardize_tableau,
 )
-from .words import Word, destandardize, evaluation, format_word, standardize
+from .words import Word, check_word, destandardize, evaluation, format_word, standardize
 
 # ---------------------------------------------------------------------------
 # enumerators
@@ -63,12 +64,9 @@ def words_with_evaluation(ev: Sequence[int]) -> Iterator[Word]:
     Yields (sum ev)! / prod(ev_a!) words; entry ``a`` of ``ev`` is the
     multiplicity of symbol ``a + 1``.
     """
+    _normalize_evaluation(ev)
     counts = list(ev)
-    if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in counts):
-        raise InvalidInputError(f"evaluation entries must be nonnegative integers: {ev!r}")
     total = sum(counts)
-    if total < 1:
-        raise InvalidInputError("evaluation must have positive sum")
     word: list[int] = []
 
     def rec() -> Iterator[Word]:
@@ -119,7 +117,7 @@ def mode_tableaux(alphabet_size: int, boxes: int, mode: Mode) -> list[Tableau]:
     Object-level enumeration: every filling of every composition shape is
     classified, independently of the insertion algorithm.
     """
-    flag = "is_lps" if mode == "lps" else "is_rps"
+    flag = mode_spec(mode).flag
     found = []
     if boxes == 0:
         return [Tableau()]
@@ -137,11 +135,13 @@ def _split_filling(filling: Sequence, lam: Shape) -> Tableau:
     for part in lam:
         cols.append(filling[pos : pos + part])
         pos += part
-    return Tableau(cols)
+    return Tableau._trusted(cols)
 
 
 def fillings(alphabet: Sequence[int], shape: Shape) -> Iterator[Tableau]:
     """All distinct-symbol fillings of ``shape`` with content ``alphabet``."""
+    alphabet = check_word(alphabet)
+    _check_shape(len(alphabet), shape)
     for perm in permutations(alphabet):
         yield _split_filling(perm, shape)
 
@@ -178,21 +178,17 @@ def enumerate_pstab(
 
     The three methods must agree; the verification suite cross-checks them.
     """
-    symbols = tuple(alphabet)
-    if sorted(set(symbols)) != sorted(symbols):
-        raise InvalidInputError("alphabet must not repeat symbols")
-    if list(symbols) != sorted(symbols):
-        raise InvalidInputError("alphabet must be sorted ascending")
+    symbols = check_word(alphabet)
+    if list(symbols) != sorted(set(symbols)):
+        raise InvalidInputError("alphabet must be strictly increasing")
     if shape is None:
         shapes: Iterable[Shape] = compositions(len(symbols)) if symbols else ((),)
     else:
-        if sum(shape) != len(symbols):
-            raise InvalidInputError(f"shape {shape!r} is not a composition of {len(symbols)}")
-        shapes = (tuple(shape),)
+        shapes = (_check_shape(len(symbols), shape),)
     out: list[Tableau] = []
     for lam in shapes:
         if method == "direct":
-            batch = [Tableau(cols) for cols in _pstab_direct(symbols, lam)]
+            batch = [Tableau._trusted(cols) for cols in _pstab_direct(symbols, lam)]
         elif method == "filter":
             batch = [t for t in fillings(symbols, lam) if classify(t).is_standard_ps]
         elif method == "project":
@@ -221,8 +217,6 @@ def fiber_bruteforce(
         raise BudgetExceededError(
             f"alphabet of {len(symbols)} symbols exceeds the budget of {max_alphabet}"
         )
-    if sum(shape) != len(symbols):
-        raise InvalidInputError(f"shape {shape!r} is not a composition of {len(symbols)}")
     return fiber_census(symbols, tuple(shape)).get(target, 0)
 
 
@@ -354,6 +348,11 @@ class Budgets:
     reading_boxes: int = 4
     formula_n: int = 12
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value < 0:
+                raise InvalidInputError(f"budget {name} must be nonnegative, got {value}")
+
 
 def _case(suite: str, name: str, case_input: str, formula, oracle) -> CaseResult:
     return CaseResult(suite, name, case_input, str(formula), str(oracle), str(formula) == str(oracle))
@@ -387,15 +386,13 @@ def _insertion_suite(budgets: Budgets) -> list[CaseResult]:
     suite = "insertion"
     cases = []
     sweep = f"words over A_{budgets.word_alphabet}, length <= {budgets.word_len}"
-    for mode in MODES:
-        direction = "left" if mode == "lps" else "right"
-        flag = "is_lps" if mode == "lps" else "is_rps"
+    for mode, spec in MODE_SPECS.items():
         basic: list[str] = []
         laws: list[str] = []
         roundtrip: list[str] = []
         for w in words_up_to(budgets.word_alphabet, budgets.word_len):
             p, q = extended_insert(w, mode)
-            if not getattr(classify(p), flag):
+            if not getattr(classify(p), spec.flag):
                 basic.append(f"{format_word(w)}: output not {mode}")
             if w and p.evaluation(budgets.word_alphabet) != evaluation(w, budgets.word_alphabet):
                 basic.append(f"{format_word(w)}: evaluation changed")
@@ -407,11 +404,11 @@ def _insertion_suite(budgets: Budgets) -> list[CaseResult]:
                 basic.append(f"{format_word(w)}: binary search differs from linear scan")
             if reverse_columns(reverse_columns(p)) != p:
                 basic.append(f"{format_word(w)}: column reversal not an involution")
-            std_word = standardize(w, direction)
+            std_word = standardize(w, spec.direction)
             p_std, q_std = extended_insert(std_word, mode)
             if p_std.shape != p.shape or q_std != q:
                 laws.append(f"{format_word(w)}: standardized word inserts differently")
-            if w and p_std != standardize_tableau(p, direction):
+            if w and p_std != standardize_tableau(p, spec.direction):
                 laws.append(f"{format_word(w)}: tableau standardization mismatch")
             if w and destandardize_tableau(p_std) != p:
                 laws.append(f"{format_word(w)}: destandardization does not recover tableau")
@@ -422,7 +419,7 @@ def _insertion_suite(budgets: Budgets) -> list[CaseResult]:
         cases.append(_violations(suite, f"{mode} word roundtrip", sweep, roundtrip))
 
     arr_sweep = f"arrays over A_{budgets.array_alphabet}, length <= {budgets.array_len}"
-    for mode in MODES:
+    for mode in MODE_SPECS:
         arr_bad: list[str] = []
         ident_bad: list[str] = []
         for arr in arrays_up_to(budgets.array_alphabet, budgets.array_len, mode):
@@ -438,8 +435,7 @@ def _insertion_suite(budgets: Budgets) -> list[CaseResult]:
             _violations(suite, f"{mode} identity-top array matches word insertion", arr_sweep, ident_bad)
         )
 
-    for mode in MODES:
-        direction = "left" if mode == "lps" else "right"
+    for mode, spec in MODE_SPECS.items():
         reading_bad: list[str] = []
         seen: set[Tableau] = set()
         for w in words_up_to(2, budgets.reading_boxes):
@@ -447,11 +443,11 @@ def _insertion_suite(budgets: Budgets) -> list[CaseResult]:
             if not w or base in seen:
                 continue
             seen.add(base)
-            std_tab = standardize_tableau(base, direction)
+            std_tab = standardize_tableau(base, spec.direction)
             entries = sorted(sym for col in std_tab.columns for sym in col)
             for perm in permutations(entries):
                 if ps_insert(perm, mode) == std_tab:
-                    if standardize(destandardize(perm), direction) != perm:
+                    if standardize(destandardize(perm), spec.direction) != perm:
                         reading_bad.append(f"{format_word(perm)} inserts to Std({format_word(w)})")
         cases.append(
             _violations(
@@ -492,7 +488,7 @@ def _correspondence_suite(max_n: int, budgets: Budgets) -> list[CaseResult]:
             _case(suite, "standard-level stable pairs count", f"n={n}", f"{factorial(n)} stable pairs", observed)
         )
 
-    for mode in MODES:
+    for mode in MODE_SPECS:
         rt_bad: list[str] = []
         for w in words_up_to(budgets.word_alphabet, budgets.word_len):
             pair = rsk(w, mode)
@@ -536,7 +532,7 @@ def _correspondence_suite(max_n: int, budgets: Budgets) -> list[CaseResult]:
             )
         )
 
-    for mode in MODES:
+    for mode in MODE_SPECS:
         fwd_bad: list[str] = []
         image_by_len: dict[int, set[TableauPair]] = {}
         for arr in arrays_up_to(budgets.array_alphabet, budgets.array_len, mode):
@@ -582,17 +578,16 @@ def _correspondence_suite(max_n: int, budgets: Budgets) -> list[CaseResult]:
             )
         )
 
-    for mode in MODES:
-        direction = "left" if mode == "lps" else "right"
+    for mode, spec in MODE_SPECS.items():
         law_bad: list[str] = []
         for arr in arrays_up_to(budgets.array_alphabet, budgets.array_len, mode):
             if not len(arr):
                 continue
             p, q = array_insert(arr, mode)
             std_top = standardize(arr.top, "left")
-            std_bottom = standardize(arr.bottom, direction)
-            q_std = standardize_tableau(q, direction)
-            p_std = standardize_tableau(p, direction)
+            std_bottom = standardize(arr.bottom, spec.direction)
+            q_std = standardize_tableau(q, spec.direction)
+            p_std = standardize_tableau(p, spec.direction)
             if q_std != array_insert(TwoRowedArray(std_top, arr.bottom), mode).q:
                 law_bad.append(f"({arr}): recording standardization (top only)")
             if q_std != array_insert(TwoRowedArray(std_top, std_bottom), mode).q:
@@ -650,9 +645,9 @@ def _counting_suite(max_n: int, budgets: Budgets, jobs: int = 1) -> list[CaseRes
     cases = []
 
     for ev in _positive_evaluations(budgets.eval_sum, budgets.eval_symbols):
-        for mode in MODES:
-            formula = count_lps(ev) if mode == "lps" else count_rps(ev)
-            recursive = count_lps_rec(ev) if mode == "lps" else count_rps_rec(ev)
+        for mode, spec in MODE_SPECS.items():
+            formula = spec.count(ev)
+            recursive = spec.count_rec(ev)
             brute = count_tableaux_bruteforce(ev, mode, max_total=budgets.eval_sum)
             observed = str(brute) if formula == recursive else f"{brute} (recursion gave {recursive})"
             cases.append(
@@ -661,10 +656,9 @@ def _counting_suite(max_n: int, budgets: Budgets, jobs: int = 1) -> list[CaseRes
 
     rec_bad: list[str] = []
     for ev in _positive_evaluations(budgets.rec_eval_sum, budgets.rec_eval_symbols):
-        if count_lps(ev) != count_lps_rec(ev):
-            rec_bad.append(f"lps ev={ev}")
-        if count_rps(ev) != count_rps_rec(ev):
-            rec_bad.append(f"rps ev={ev}")
+        for mode, spec in MODE_SPECS.items():
+            if spec.count(ev) != spec.count_rec(ev):
+                rec_bad.append(f"{mode} ev={ev}")
     cases.append(
         _violations(
             suite,
@@ -678,7 +672,7 @@ def _counting_suite(max_n: int, budgets: Budgets, jobs: int = 1) -> list[CaseRes
     for ev in _positive_evaluations(min(budgets.eval_sum, 6), 3):
         for pos in range(len(ev) + 1):
             padded = ev[:pos] + (0,) + ev[pos:]
-            if count_lps(padded) != count_lps(ev) or count_rps(padded) != count_rps(ev):
+            if any(spec.count(padded) != spec.count(ev) for spec in MODE_SPECS.values()):
                 zero_bad.append(f"ev={ev} padded at {pos}")
     cases.append(_violations(suite, "counts ignore zero entries", "padded evaluations", zero_bad))
 
@@ -697,8 +691,7 @@ def _counting_suite(max_n: int, budgets: Budgets, jobs: int = 1) -> list[CaseRes
         formula = bell_rowsum(n)
         pieces = {
             "hook": bell_hook(n),
-            "lps": count_lps(ones),
-            "rps": count_rps(ones),
+            **{mode: spec.count(ones) for mode, spec in MODE_SPECS.items()},
             "partitions": count_set_partitions(n),
         }
         mismatches = [k for k, v in pieces.items() if v != formula]
@@ -778,8 +771,9 @@ def _counting_suite(max_n: int, budgets: Budgets, jobs: int = 1) -> list[CaseRes
             )
 
     fiber_args = [(n, lam) for n in range(1, max_n + 1) for lam in compositions(n)]
-    if jobs > 1:
-        with Pool(jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(fiber_args))
+    if workers > 1:
+        with Pool(workers) as pool:
             fiber_rows = pool.map(_fiber_uniformity_case, fiber_args)
     else:
         fiber_rows = [_fiber_uniformity_case(args) for args in fiber_args]
@@ -790,7 +784,7 @@ def _counting_suite(max_n: int, budgets: Budgets, jobs: int = 1) -> list[CaseRes
 
     for n in range(1, max_n + 1):
         images = {}
-        for mode in MODES:
+        for mode in MODE_SPECS:
             images[mode] = {ps_insert(sigma, mode) for sigma in permutations(range(1, n + 1))}
         bell = bell_rowsum(n)
         ok = images["lps"] == images["rps"] and len(images["lps"]) == bell
@@ -870,10 +864,14 @@ def verify_suite(max_n: int = 4, budgets: Budgets | None = None, jobs: int = 1) 
 
     ``max_n`` bounds the n-indexed case families (bijections, Bell numbers,
     tableau enumerations, fiber sweeps); ``budgets`` bounds the word, array,
-    and evaluation sweeps.  Failures become report entries, never exceptions.
+    and evaluation sweeps.  ``jobs`` worker processes run the fiber sweeps,
+    capped by the CPU count and the number of sweeps.  Failures become report
+    entries, never exceptions.
     """
     if max_n < 1:
         raise InvalidInputError("max_n must be at least 1")
+    if jobs < 1:
+        raise InvalidInputError("jobs must be at least 1")
     budgets = budgets or Budgets()
     start = time.perf_counter()
     cases: list[CaseResult] = []

@@ -25,21 +25,18 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from .errors import InvalidInputError
-from .words import Direction, Evaluation, StandardizedSymbol, Symbol, Word
+from .words import Direction, Evaluation, StandardizedSymbol, Symbol, Word, check_word, evaluation
 
 Shape = tuple[int, ...]
 
 
-def _check_symbol(sym: Any) -> None:
-    if isinstance(sym, StandardizedSymbol):
-        if sym.base < 1 or sym.index < 1:
-            raise InvalidInputError(f"standardized symbol out of range: {sym!r}")
-    elif not isinstance(sym, int) or isinstance(sym, bool) or sym < 1:
-        raise InvalidInputError(f"not a symbol: {sym!r}")
-
-
 class Tableau:
-    """Composition-shaped arrangement of symbols, columns bottom-to-top."""
+    """Composition-shaped arrangement of symbols, columns bottom-to-top.
+
+    ``Tableau(columns)`` checks that columns are nonempty and that all symbols
+    pass :func:`pstab.words.check_word` as one word.  Tableaux built inside the
+    package from checked data come from :meth:`_trusted` and skip that check.
+    """
 
     __slots__ = ("columns",)
 
@@ -47,16 +44,17 @@ class Tableau:
 
     def __init__(self, columns: Iterable[Iterable[Symbol]] = ()):
         cols = tuple(tuple(col) for col in columns)
-        kinds = set()
-        for col in cols:
-            if not col:
-                raise InvalidInputError("tableau columns must be nonempty")
-            for sym in col:
-                _check_symbol(sym)
-                kinds.add(isinstance(sym, StandardizedSymbol))
-        if len(kinds) > 1:
-            raise InvalidInputError("tableau mixes plain and standardized symbols")
+        if not all(cols):
+            raise InvalidInputError("tableau columns must be nonempty")
+        check_word(itertools.chain.from_iterable(cols))
         object.__setattr__(self, "columns", cols)
+
+    @classmethod
+    def _trusted(cls, columns: Iterable[Iterable[Symbol]]) -> "Tableau":
+        """Build from nonempty columns of checked symbols, without re-checking."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "columns", tuple(tuple(col) for col in columns))
+        return t
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Tableau is immutable")
@@ -92,13 +90,7 @@ class Tableau:
         return self.columns[column - 1][row - 1]
 
     def evaluation(self, alphabet_size: int) -> Evaluation:
-        counts = [0] * alphabet_size
-        for col in self.columns:
-            for sym in col:
-                if not isinstance(sym, int) or sym > alphabet_size:
-                    raise InvalidInputError(f"symbol {sym!r} not in alphabet of size {alphabet_size}")
-                counts[sym - 1] += 1
-        return tuple(counts)
+        return evaluation(itertools.chain.from_iterable(self.columns), alphabet_size)
 
 
 @dataclass(frozen=True)
@@ -139,7 +131,7 @@ def column_reading(t: Tableau) -> Word:
 
 def reverse_columns(t: Tableau) -> Tableau:
     """Flip every column upside down; a shape-preserving involution."""
-    return Tableau(tuple(reversed(col)) for col in t.columns)
+    return Tableau._trusted(col[::-1] for col in t.columns)
 
 
 def standardize_tableau(t: Tableau, direction: Direction) -> Tableau:
@@ -152,6 +144,8 @@ def standardize_tableau(t: Tableau, direction: Direction) -> Tableau:
     standard one over the indexed alphabet, with base symbols kept in place.
     """
     kind = classify(t)
+    if t.columns and isinstance(t.columns[0][0], StandardizedSymbol):
+        raise InvalidInputError("tableau is already standardized")
     if direction == "left":
         if not kind.is_lps:
             raise InvalidInputError("left standardization requires an lPS tableau")
@@ -174,22 +168,16 @@ def standardize_tableau(t: Tableau, direction: Direction) -> Tableau:
     new_cols: list[list[StandardizedSymbol]] = [[None] * len(col) for col in t.columns]  # type: ignore[list-item]
     for j, r in positions:
         base = t.columns[j][r]
-        if not isinstance(base, int):
-            raise InvalidInputError("tableau is already standardized")
         seen[base] = seen.get(base, 0) + 1
         new_cols[j][r] = StandardizedSymbol(base, seen[base])
-    return Tableau(new_cols)
+    return Tableau._trusted(new_cols)
 
 
 def destandardize_tableau(t: Tableau) -> Tableau:
     """Erase all occurrence indices, keeping shape and base symbols."""
-    new_cols = []
-    for col in t.columns:
-        for sym in col:
-            if not isinstance(sym, StandardizedSymbol):
-                raise InvalidInputError("destandardization needs standardized entries")
-        new_cols.append(tuple(sym.base for sym in col))
-    return Tableau(new_cols)
+    if t.columns and not isinstance(t.columns[0][0], StandardizedSymbol):
+        raise InvalidInputError("destandardization needs standardized entries")
+    return Tableau._trusted(tuple(sym.base for sym in col) for col in t.columns)
 
 
 def render_ascii(t: Tableau) -> str:
@@ -227,16 +215,11 @@ def _symbol_to_json(sym: Symbol) -> Any:
     return sym
 
 
-def _symbol_from_json(obj: Any) -> Symbol:
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        return obj
-    if (
-        isinstance(obj, (list, tuple))
-        and len(obj) == 2
-        and all(isinstance(x, int) and not isinstance(x, bool) for x in obj)
-    ):
-        return StandardizedSymbol(obj[0], obj[1])
-    raise InvalidInputError(f"not a JSON symbol: {obj!r}")
+def _symbol_from_json(obj: Any) -> Any:
+    # Tableau() checks the result, so anything else is left for it to reject.
+    if isinstance(obj, (list, tuple)) and len(obj) == 2:
+        return StandardizedSymbol(*obj)
+    return obj
 
 
 def tableau_to_json(t: Tableau) -> dict:

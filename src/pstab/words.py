@@ -9,7 +9,7 @@ comparison realizes the indexed-alphabet order.
 
 from __future__ import annotations
 
-from typing import Iterable, Literal, NamedTuple, Union
+from typing import Any, Iterable, Literal, NamedTuple, Union
 
 from .errors import InvalidInputError
 
@@ -31,19 +31,27 @@ Word = tuple[Symbol, ...]
 Evaluation = tuple[int, ...]
 
 
-def _require_plain(word: Iterable[Symbol]) -> tuple[int, ...]:
-    out = tuple(word)
-    for sym in out:
-        if not isinstance(sym, int) or isinstance(sym, bool) or sym < 1:
-            raise InvalidInputError(f"expected a plain symbol (positive int), got {sym!r}")
-    return out
+def _positive(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
 
 
-def _require_standardized(word: Iterable[Symbol]) -> tuple[StandardizedSymbol, ...]:
-    out = tuple(word)
+def check_word(syms: Iterable[Any], kind: type | None = None) -> Word:
+    """Return ``syms`` as a word, or raise if an entry is not a symbol.
+
+    Plain symbols are positive ints (never bools); standardized symbols have a
+    positive int base and index.  A word never mixes the two kinds, and
+    ``kind`` (``int`` or :class:`StandardizedSymbol`) narrows it to one.
+    """
+    out = tuple(syms)
+    want = kind
     for sym in out:
-        if not isinstance(sym, StandardizedSymbol):
-            raise InvalidInputError(f"expected a standardized symbol, got {sym!r}")
+        got = StandardizedSymbol if isinstance(sym, StandardizedSymbol) else int
+        if not (all(map(_positive, sym)) if got is StandardizedSymbol else _positive(sym)):
+            raise InvalidInputError(f"not a symbol: {sym!r}")
+        want = want or got
+        if got is not want:
+            kinds = "standardized" if want is StandardizedSymbol else "plain"
+            raise InvalidInputError(f"expected only {kinds} symbols, got {sym}")
     return out
 
 
@@ -55,7 +63,7 @@ def standardize(word: Iterable[int], direction: Direction = "left") -> tuple[Sta
     leftmost occurrence of a symbol carries the highest index.  The result is
     a standard word either way.
     """
-    plain = _require_plain(word)
+    plain = check_word(word, int)
     if direction == "left":
         order = range(len(plain))
     elif direction == "right":
@@ -73,7 +81,7 @@ def standardize(word: Iterable[int], direction: Direction = "left") -> tuple[Sta
 
 def destandardize(word: Iterable[StandardizedSymbol]) -> tuple[int, ...]:
     """Erase the occurrence indices, recovering the underlying plain word."""
-    return tuple(sym.base for sym in _require_standardized(word))
+    return tuple(sym.base for sym in check_word(word, StandardizedSymbol))
 
 
 def evaluation(word: Iterable[int], alphabet_size: int) -> Evaluation:
@@ -85,7 +93,7 @@ def evaluation(word: Iterable[int], alphabet_size: int) -> Evaluation:
     if alphabet_size < 0:
         raise InvalidInputError("alphabet_size must be nonnegative")
     counts = [0] * alphabet_size
-    for sym in _require_plain(word):
+    for sym in check_word(word, int):
         if sym > alphabet_size:
             raise InvalidInputError(f"symbol {sym} exceeds alphabet size {alphabet_size}")
         counts[sym - 1] += 1
@@ -116,12 +124,8 @@ def parse_word(text: str) -> Word:
                 sym = int(tok)
         except ValueError as exc:
             raise InvalidInputError(f"cannot parse symbol {tok!r}") from exc
-        base = sym.base if isinstance(sym, StandardizedSymbol) else sym
-        index = sym.index if isinstance(sym, StandardizedSymbol) else 1
-        if base < 1 or index < 1:
-            raise InvalidInputError(f"symbols must be positive, got {tok!r}")
         out.append(sym)
-    return tuple(out)
+    return check_word(out)
 
 
 def format_word(word: Iterable[Symbol]) -> str:

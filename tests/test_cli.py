@@ -126,6 +126,21 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("mode", ["lps", "rps"])
+@pytest.mark.parametrize("argv", [["insert", "1_1 2"], ["rsk", "--word", "2 1_1"]])
+def test_mixed_symbol_word_exits_2(capsys, mode, argv):
+    code, out, err = run(capsys, *argv, "--mode", mode)
+    assert code == 2 and out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", [["--word-len", "-3"], ["--eval-sum", "-1"], ["--jobs", "0"]])
+def test_verify_rejects_bad_budgets_and_jobs(capsys, flag):
+    code, out, err = run(capsys, "verify", "--max-n", "1", *flag)
+    assert code == 2 and out == ""
+    assert "error:" in err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["insert", "--mode", "ups", "1 2"])
@@ -168,13 +183,20 @@ def test_missing_file_exits_2(capsys):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
 
+    import pstab
+
+    # the child finds the package where this process found it, installed or not
+    src = os.path.dirname(os.path.dirname(pstab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "pstab", "count", "--mode", "lps", "2,1,2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "15"

@@ -12,6 +12,7 @@ from pstab import (
     destandardize_tableau,
     evaluation,
     extended_insert,
+    is_stable_pair,
     ps_insert,
     read_by_recording,
     reverse_insertion,
@@ -144,8 +145,37 @@ def test_two_rowed_array_validation_and_parsing():
 
 
 def test_unknown_mode_is_rejected():
+    one = TableauPair(Tableau([[1]]), Tableau([[1]]))
+    arr = TwoRowedArray((1, 2), (2, 1))
+    calls = [
+        lambda mode: ps_insert((1, 2), mode),
+        lambda mode: extended_insert((1, 2), mode),
+        lambda mode: array_insert(arr, mode),
+        lambda mode: reverse_insertion(one, mode),
+        lambda mode: is_stable_pair(one, mode, "word"),
+        arr.is_valid,
+    ]
+    for call in calls:
+        for mode in ("xps", "LPS", None, ("lps",)):
+            with pytest.raises(InvalidInputError):
+                call(mode)
+
+
+BAD_WORDS = [(0,), (1, -1), (True,), (1, StandardizedSymbol(1, 1)), (StandardizedSymbol(2, 0),)]
+
+
+@pytest.mark.parametrize("word", BAD_WORDS)
+@pytest.mark.parametrize("mode", ["lps", "rps"])
+def test_insertion_rejects_bad_symbols(word, mode):
     with pytest.raises(InvalidInputError):
-        ps_insert((1, 2), "xps")
+        ps_insert(word, mode)
+    with pytest.raises(InvalidInputError):
+        extended_insert(word, mode)
+    labels = tuple(range(1, len(word) + 1))
+    with pytest.raises(InvalidInputError):
+        array_insert(TwoRowedArray(top=labels, bottom=word), mode)
+    with pytest.raises(InvalidInputError):
+        array_insert(TwoRowedArray(top=word, bottom=labels), mode)
 
 
 def test_reverse_insertion_error_carries_location():

@@ -20,7 +20,7 @@ from pstab import (
     words_with_evaluation,
 )
 from pstab.counting import compositions
-from pstab.oracle import arrays_over, mode_tableaux, words_over, _ps_insert_linear
+from pstab.oracle import arrays_over, fillings, mode_tableaux, words_over, _ps_insert_linear
 
 
 def test_words_with_evaluation_small_sets():
@@ -80,6 +80,15 @@ def test_enumerate_pstab_validates_arguments():
         enumerate_pstab((1, 2), (3,))
     with pytest.raises(InvalidInputError):
         enumerate_pstab((1, 2), (1, 1), method="guess")
+    for method in ("direct", "filter", "project"):
+        with pytest.raises(InvalidInputError):
+            enumerate_pstab((0, 1), method=method)
+        with pytest.raises(InvalidInputError):
+            enumerate_pstab((1, 2), (2, 0), method=method)
+    with pytest.raises(InvalidInputError):
+        list(fillings((0, 1), (2,)))
+    with pytest.raises(InvalidInputError):
+        list(fillings((1, 2), (1, 1, 1)))
 
 
 def test_fiber_bruteforce_worked_values():
@@ -124,6 +133,42 @@ def test_verify_suite_parallel_jobs_agree_with_serial():
     parallel = verify_suite(max_n=2, budgets=budgets, jobs=2)
     assert parallel.passed and serial.passed
     assert [c.to_dict() for c in parallel.cases] == [c.to_dict() for c in serial.cases]
+
+
+@pytest.mark.parametrize("field", ["word_len", "array_len", "eval_sum", "word_alphabet", "formula_n"])
+def test_budgets_reject_negative_sizes(field):
+    with pytest.raises(InvalidInputError):
+        Budgets(**{field: -1})
+
+
+def test_verify_suite_rejects_bad_jobs():
+    with pytest.raises(InvalidInputError):
+        verify_suite(max_n=1, budgets=Budgets(word_len=1, array_len=1, eval_sum=2), jobs=0)
+
+
+@pytest.mark.parametrize("jobs, cpus, expected", [(10**6, 8, 3), (10**6, 2, 2), (2, 8, 2), (1, 8, None)])
+def test_verify_suite_clamps_the_pool(monkeypatch, jobs, cpus, expected):
+    # max_n=2 gives three fiber sweeps: shapes (1,), (2,) and (1, 1)
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return [func(item) for item in items]
+
+    monkeypatch.setattr("pstab.oracle.Pool", FakePool)
+    monkeypatch.setattr("pstab.oracle.os.cpu_count", lambda: cpus)
+    report = verify_suite(max_n=2, budgets=Budgets(word_len=1, array_len=1, eval_sum=2), jobs=jobs)
+    assert report.passed
+    assert sizes == ([] if expected is None else [expected])
 
 
 def test_mode_tableaux_equal_insertion_images():

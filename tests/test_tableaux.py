@@ -36,8 +36,9 @@ def test_construction_rejects_empty_column():
 def test_construction_rejects_bad_symbols():
     with pytest.raises(InvalidInputError):
         Tableau([[0]])
-    with pytest.raises(InvalidInputError):
-        Tableau([[1, S(1, 1)]])
+    for columns in ([[1, S(1, 1)]], [[1], [S(1, 1)]], [[True]], [[S(True, 1)]], [[1.0]]):
+        with pytest.raises(InvalidInputError):
+            Tableau(columns)
 
 
 def test_tableau_is_immutable_and_hashable():
@@ -210,8 +211,9 @@ def test_json_roundtrip_standardized():
 def test_json_rejects_malformed_input():
     with pytest.raises(InvalidInputError):
         tableau_from_json({"rows": []})
-    with pytest.raises(InvalidInputError):
-        tableau_from_json({"columns": [["x"]]})
+    for columns in ([["x"]], [[0]], [[True]], [[[1, 0]]], [[[1]]], [[["a", 1]]], [[1, [1, 1]]], [[]]):
+        with pytest.raises(InvalidInputError):
+            tableau_from_json({"columns": columns})
 
 
 def test_render_ascii_bottom_row_last():

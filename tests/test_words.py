@@ -59,6 +59,10 @@ def test_destandardize_empty():
 def test_destandardize_rejects_plain_symbols():
     with pytest.raises(InvalidInputError):
         destandardize((1, 2))
+    with pytest.raises(InvalidInputError):
+        destandardize((S(1, 1), 2))
+    with pytest.raises(InvalidInputError):
+        standardize((1, S(1, 1)), "left")
 
 
 @given(words, st.sampled_from(["left", "right"]))
@@ -129,8 +133,9 @@ def test_parse_word_formats():
 def test_parse_word_rejects_garbage():
     with pytest.raises(InvalidInputError):
         parse_word("4 x")
-    with pytest.raises(InvalidInputError):
-        parse_word("0 1")
+    for text in ("0 1", "-1", "1_0", "1_1 2", "3 2_1", "1_2_3"):
+        with pytest.raises(InvalidInputError):
+            parse_word(text)
 
 
 @given(words)
