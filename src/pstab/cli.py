@@ -3,7 +3,8 @@
 Subcommands: insert, rsk, unrsk, count, bell, hook, verify.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse error, 3 stable-set
 rejection.  Output is deterministic: identical invocations produce identical
-bytes.
+bytes, except for verify's elapsed time (the ``in X.XX s`` summary suffix and
+the JSON ``elapsed_seconds``).
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--max-n", type=int, default=4, dest="max_n")
     p_verify.add_argument("--json", action="store_true", help="machine-readable report")
-    p_verify.add_argument("--jobs", type=int, default=1, help="parallel workers for heavy sweeps")
+    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes sharing the cases")
     p_verify.add_argument("--word-len", type=int, default=Budgets.word_len, dest="word_len")
     p_verify.add_argument("--array-len", type=int, default=Budgets.array_len, dest="array_len")
     p_verify.add_argument("--eval-sum", type=int, default=Budgets.eval_sum, dest="eval_sum")

@@ -91,8 +91,8 @@ class TwoRowedArray:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TwoRowedArray":
-        if not isinstance(obj, dict) or "top" not in obj or "bottom" not in obj:
-            raise InvalidInputError("expected a JSON object with 'top' and 'bottom' keys")
+        if not isinstance(obj, dict) or not all(isinstance(obj.get(row), list) for row in ("top", "bottom")):
+            raise InvalidInputError("expected a JSON object whose 'top' and 'bottom' are lists")
         return cls(top=check_word(obj["top"]), bottom=check_word(obj["bottom"]))
 
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, permutations, product
 from math import factorial
 from multiprocessing import Pool
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .correspondence import is_stable_pair, occurrences, rsk, rsk_inverse
 from .counting import (
@@ -354,15 +356,6 @@ class Budgets:
                 raise InvalidInputError(f"budget {name} must be nonnegative, got {value}")
 
 
-def _case(suite: str, name: str, case_input: str, formula, oracle) -> CaseResult:
-    return CaseResult(suite, name, case_input, str(formula), str(oracle), str(formula) == str(oracle))
-
-
-def _violations(suite: str, name: str, case_input: str, bad: list[str]) -> CaseResult:
-    summary = "0 violations" if not bad else f"{len(bad)} violations, first: {bad[0]}"
-    return CaseResult(suite, name, case_input, "0 violations", summary, not bad)
-
-
 def _positive_evaluations(max_sum: int, max_parts: int) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
 
@@ -378,88 +371,6 @@ def _positive_evaluations(max_sum: int, max_parts: int) -> list[tuple[int, ...]]
     return sorted(set(out))
 
 
-# ---------------------------------------------------------------------------
-# suites
-
-
-def _insertion_suite(budgets: Budgets) -> list[CaseResult]:
-    suite = "insertion"
-    cases = []
-    sweep = f"words over A_{budgets.word_alphabet}, length <= {budgets.word_len}"
-    for mode, spec in MODE_SPECS.items():
-        basic: list[str] = []
-        laws: list[str] = []
-        roundtrip: list[str] = []
-        for w in words_up_to(budgets.word_alphabet, budgets.word_len):
-            p, q = extended_insert(w, mode)
-            if not getattr(classify(p), spec.flag):
-                basic.append(f"{format_word(w)}: output not {mode}")
-            if w and p.evaluation(budgets.word_alphabet) != evaluation(w, budgets.word_alphabet):
-                basic.append(f"{format_word(w)}: evaluation changed")
-            if not classify(q).is_recording:
-                basic.append(f"{format_word(w)}: recording tableau invalid")
-            if p != ps_insert(w, mode):
-                basic.append(f"{format_word(w)}: plain and extended insertion differ")
-            if p != _ps_insert_linear(w, mode):
-                basic.append(f"{format_word(w)}: binary search differs from linear scan")
-            if reverse_columns(reverse_columns(p)) != p:
-                basic.append(f"{format_word(w)}: column reversal not an involution")
-            std_word = standardize(w, spec.direction)
-            p_std, q_std = extended_insert(std_word, mode)
-            if p_std.shape != p.shape or q_std != q:
-                laws.append(f"{format_word(w)}: standardized word inserts differently")
-            if w and p_std != standardize_tableau(p, spec.direction):
-                laws.append(f"{format_word(w)}: tableau standardization mismatch")
-            if w and destandardize_tableau(p_std) != p:
-                laws.append(f"{format_word(w)}: destandardization does not recover tableau")
-            if read_by_recording((p, q)) != w:
-                roundtrip.append(f"{format_word(w)}: reading back failed")
-        cases.append(_violations(suite, f"{mode} insertion well-formed", sweep, basic))
-        cases.append(_violations(suite, f"{mode} standardization laws", sweep, laws))
-        cases.append(_violations(suite, f"{mode} word roundtrip", sweep, roundtrip))
-
-    arr_sweep = f"arrays over A_{budgets.array_alphabet}, length <= {budgets.array_len}"
-    for mode in MODE_SPECS:
-        arr_bad: list[str] = []
-        ident_bad: list[str] = []
-        for arr in arrays_up_to(budgets.array_alphabet, budgets.array_len, mode):
-            pair = array_insert(arr, mode)
-            if reverse_insertion(pair, mode) != arr:
-                arr_bad.append(f"({arr})")
-        for w in words_up_to(budgets.array_alphabet, budgets.array_len):
-            ident = TwoRowedArray(top=tuple(range(1, len(w) + 1)), bottom=w)
-            if array_insert(ident, mode) != extended_insert(w, mode):
-                ident_bad.append(format_word(w))
-        cases.append(_violations(suite, f"{mode} array roundtrip", arr_sweep, arr_bad))
-        cases.append(
-            _violations(suite, f"{mode} identity-top array matches word insertion", arr_sweep, ident_bad)
-        )
-
-    for mode, spec in MODE_SPECS.items():
-        reading_bad: list[str] = []
-        seen: set[Tableau] = set()
-        for w in words_up_to(2, budgets.reading_boxes):
-            base = ps_insert(w, mode)
-            if not w or base in seen:
-                continue
-            seen.add(base)
-            std_tab = standardize_tableau(base, spec.direction)
-            entries = sorted(sym for col in std_tab.columns for sym in col)
-            for perm in permutations(entries):
-                if ps_insert(perm, mode) == std_tab:
-                    if standardize(destandardize(perm), spec.direction) != perm:
-                        reading_bad.append(f"{format_word(perm)} inserts to Std({format_word(w)})")
-        cases.append(
-            _violations(
-                suite,
-                f"{mode} words inserting to a standardized tableau are standardizations",
-                f"tableaux from words over A_2, <= {budgets.reading_boxes} boxes",
-                reading_bad,
-            )
-        )
-    return cases
-
-
 def _standard_pairs_over(n: int) -> Iterator[TableauPair]:
     for lam in compositions(n):
         tabs = enumerate_pstab(tuple(range(1, n + 1)), lam, method="direct")
@@ -468,390 +379,300 @@ def _standard_pairs_over(n: int) -> Iterator[TableauPair]:
                 yield TableauPair(p, q)
 
 
-def _correspondence_suite(max_n: int, budgets: Budgets) -> list[CaseResult]:
-    suite = "correspondence"
-    cases = []
+# ---------------------------------------------------------------------------
+# sweeps, and the per-input checks run over them: each check yields the
+# violations found at one input
+
+
+def _nonempty_arrays(alphabet_size: int, max_length: int, mode: Mode) -> Iterator[TwoRowedArray]:
+    return (arr for arr in arrays_up_to(alphabet_size, max_length, mode) if len(arr))
+
+
+def _distinct_insertions(mode: Mode, max_length: int) -> Iterator[tuple[Word, Tableau]]:
+    # each tableau inserted from a nonempty word over A_2, with its first word
+    seen: set[Tableau] = set()
+    for w in words_up_to(2, max_length):
+        if w:
+            base = ps_insert(w, mode)
+            if base not in seen:
+                seen.add(base)
+                yield w, base
+
+
+def _standard_words(max_length: int) -> Iterator[Word]:
+    for size in range(1, max_length + 1):
+        yield from permutations(range(1, size + 1))
+
+
+def _hook_counts_by_columns(n: int) -> Iterator[tuple[int, int]]:
+    by_columns: Counter[int] = Counter()
+    for lam in compositions(n):
+        by_columns[len(lam)] += hook_count(n, lam)
+    return ((k, by_columns[k]) for k in range(1, n + 1))
+
+
+def _lps_preimage_counts(n: int) -> Iterable[tuple[Tableau, int]]:
+    return Counter(ps_insert(sigma, "lps") for sigma in permutations(range(1, n + 1))).items()
+
+
+def _small_fillings(max_n: int) -> Iterator[tuple[int, Shape, Tableau]]:
     for n in range(1, max_n + 1):
-        image = {}
-        for sigma in permutations(range(1, n + 1)):
-            image[extended_insert(sigma, "lps")] = sigma
-        members = [
-            pair for pair in _standard_pairs_over(n) if is_stable_pair(pair, "lps", "standard")
-        ]
-        problems: list[str] = []
-        if len(image) != factorial(n):
-            problems.append(f"insertion not injective on {n}!")
-        if set(members) != set(image):
-            problems.append("stable pairs differ from the insertion image")
-        observed = f"{len(members)} stable pairs" + ("" if not problems else "; " + problems[0])
-        cases.append(
-            _case(suite, "standard-level stable pairs count", f"n={n}", f"{factorial(n)} stable pairs", observed)
-        )
+        for lam in compositions(n):
+            for t in fillings(tuple(range(1, n + 1)), lam):
+                yield n, lam, t
 
-    for mode in MODE_SPECS:
-        rt_bad: list[str] = []
-        for w in words_up_to(budgets.word_alphabet, budgets.word_len):
-            pair = rsk(w, mode)
-            if not is_stable_pair(pair, mode, "word"):
-                rt_bad.append(f"{format_word(w)}: image not a stable pair")
-            elif rsk_inverse(pair, mode, "word") != w:
-                rt_bad.append(f"{format_word(w)}: inverse mismatch")
-        cases.append(
-            _violations(
-                suite,
-                f"{mode} word-level roundtrip",
-                f"words over A_{budgets.word_alphabet}, length <= {budgets.word_len}",
-                rt_bad,
-            )
-        )
 
-        comp_bad: list[str] = []
-        for boxes in range(1, budgets.word_len + 1):
-            image_pairs = {
-                rsk(w, mode) for w in words_over(budgets.word_alphabet, boxes)
-            }
-            candidates = []
-            tabs = mode_tableaux(budgets.word_alphabet, boxes, mode)
-            recording = {
-                lam: enumerate_pstab(tuple(range(1, boxes + 1)), lam, method="direct")
-                for lam in compositions(boxes)
-            }
-            for p in tabs:
-                for q in recording[p.shape]:
-                    pair = TableauPair(p, q)
-                    if is_stable_pair(pair, mode, "word"):
-                        candidates.append(pair)
-            if set(candidates) != image_pairs or len(candidates) != len(image_pairs):
-                comp_bad.append(f"{boxes} boxes: stable set differs from insertion image")
-        cases.append(
-            _violations(
-                suite,
-                f"{mode} word-level stable pairs are exactly the insertion image",
-                f"over A_{budgets.word_alphabet}, <= {budgets.word_len} boxes",
-                comp_bad,
-            )
-        )
+def _insertion_well_formed(mode: Mode, alphabet_size: int, w: Word) -> Iterator[str]:
+    p, q = extended_insert(w, mode)
+    if not getattr(classify(p), MODE_SPECS[mode].flag):
+        yield f"{format_word(w)}: output not {mode}"
+    if w and p.evaluation(alphabet_size) != evaluation(w, alphabet_size):
+        yield f"{format_word(w)}: evaluation changed"
+    if not classify(q).is_recording:
+        yield f"{format_word(w)}: recording tableau invalid"
+    if p != ps_insert(w, mode):
+        yield f"{format_word(w)}: plain and extended insertion differ"
+    if p != _ps_insert_linear(w, mode):
+        yield f"{format_word(w)}: binary search differs from linear scan"
+    if reverse_columns(reverse_columns(p)) != p:
+        yield f"{format_word(w)}: column reversal not an involution"
 
-    for mode in MODE_SPECS:
-        fwd_bad: list[str] = []
-        image_by_len: dict[int, set[TableauPair]] = {}
-        for arr in arrays_up_to(budgets.array_alphabet, budgets.array_len, mode):
-            pair = rsk(arr, mode)
-            image_by_len.setdefault(len(arr), set()).add(pair)
-            if not is_stable_pair(pair, mode, "array"):
-                fwd_bad.append(f"({arr}): image not a stable pair")
-            elif rsk_inverse(pair, mode, "array") != arr:
-                fwd_bad.append(f"({arr}): inverse mismatch")
-        cases.append(
-            _violations(
-                suite,
-                f"{mode} array-level roundtrip",
-                f"arrays over A_{budgets.array_alphabet}, length <= {budgets.array_len}",
-                fwd_bad,
-            )
-        )
 
-        back_bad: list[str] = []
-        for boxes in range(1, budgets.array_len + 1):
-            tabs = mode_tableaux(budgets.array_alphabet, boxes, mode)
-            by_shape: dict[Shape, list[Tableau]] = {}
-            for t in tabs:
-                by_shape.setdefault(t.shape, []).append(t)
-            members = set()
-            for lam, group in by_shape.items():
-                for p in group:
-                    for q in group:
-                        pair = TableauPair(p, q)
-                        if is_stable_pair(pair, mode, "array"):
-                            members.add(pair)
-                            arr = rsk_inverse(pair, mode, "array")
-                            if rsk(arr, mode) != pair:
-                                back_bad.append(f"{boxes} boxes: pair does not round-trip")
-            if members != image_by_len.get(boxes, set()):
-                back_bad.append(f"{boxes} boxes: stable set differs from insertion image")
-        cases.append(
-            _violations(
-                suite,
-                f"{mode} array-level stable pairs are exactly the insertion image",
-                f"over A_{budgets.array_alphabet}, <= {budgets.array_len} boxes",
-                back_bad,
-            )
-        )
+def _word_standardization_laws(mode: Mode, w: Word) -> Iterator[str]:
+    direction = MODE_SPECS[mode].direction
+    p, q = extended_insert(w, mode)
+    p_std, q_std = extended_insert(standardize(w, direction), mode)
+    if p_std.shape != p.shape or q_std != q:
+        yield f"{format_word(w)}: standardized word inserts differently"
+    if w and p_std != standardize_tableau(p, direction):
+        yield f"{format_word(w)}: tableau standardization mismatch"
+    if w and destandardize_tableau(p_std) != p:
+        yield f"{format_word(w)}: destandardization does not recover tableau"
 
+
+def _word_reads_back(mode: Mode, w: Word) -> Iterator[str]:
+    if read_by_recording(extended_insert(w, mode)) != w:
+        yield f"{format_word(w)}: reading back failed"
+
+
+def _array_reverses(mode: Mode, arr: TwoRowedArray) -> Iterator[str]:
+    if reverse_insertion(array_insert(arr, mode), mode) != arr:
+        yield f"({arr})"
+
+
+def _identity_top_array(mode: Mode, w: Word) -> Iterator[str]:
+    ident = TwoRowedArray(top=tuple(range(1, len(w) + 1)), bottom=w)
+    if array_insert(ident, mode) != extended_insert(w, mode):
+        yield format_word(w)
+
+
+def _standardized_preimages(mode: Mode, item: tuple[Word, Tableau]) -> Iterator[str]:
+    w, base = item
+    direction = MODE_SPECS[mode].direction
+    std_tab = standardize_tableau(base, direction)
+    entries = sorted(sym for col in std_tab.columns for sym in col)
+    for perm in permutations(entries):
+        if ps_insert(perm, mode) == std_tab:
+            if standardize(destandardize(perm), direction) != perm:
+                yield f"{format_word(perm)} inserts to Std({format_word(w)})"
+
+
+def _rsk_roundtrip(mode: Mode, level: str, value: Word | TwoRowedArray) -> Iterator[str]:
+    label = format_word(value) if level == "word" else f"({value})"
+    pair = rsk(value, mode)
+    if not is_stable_pair(pair, mode, level):
+        yield f"{label}: image not a stable pair"
+    elif rsk_inverse(pair, mode, level) != value:
+        yield f"{label}: inverse mismatch"
+
+
+def _word_stable_set(mode: Mode, alphabet_size: int, boxes: int) -> Iterator[str]:
+    image_pairs = {rsk(w, mode) for w in words_over(alphabet_size, boxes)}
+    recording = {
+        lam: enumerate_pstab(tuple(range(1, boxes + 1)), lam, method="direct")
+        for lam in compositions(boxes)
+    }
+    candidates = []
+    for p in mode_tableaux(alphabet_size, boxes, mode):
+        for q in recording[p.shape]:
+            pair = TableauPair(p, q)
+            if is_stable_pair(pair, mode, "word"):
+                candidates.append(pair)
+    if set(candidates) != image_pairs or len(candidates) != len(image_pairs):
+        yield f"{boxes} boxes: stable set differs from insertion image"
+
+
+def _array_stable_set(mode: Mode, alphabet_size: int, boxes: int) -> Iterator[str]:
+    by_shape: dict[Shape, list[Tableau]] = {}
+    for t in mode_tableaux(alphabet_size, boxes, mode):
+        by_shape.setdefault(t.shape, []).append(t)
+    members = set()
+    for group in by_shape.values():
+        for p in group:
+            for q in group:
+                pair = TableauPair(p, q)
+                if is_stable_pair(pair, mode, "array"):
+                    members.add(pair)
+                    if rsk(rsk_inverse(pair, mode, "array"), mode) != pair:
+                        yield f"{boxes} boxes: pair does not round-trip"
+    if members != {rsk(arr, mode) for arr in arrays_over(alphabet_size, boxes, mode)}:
+        yield f"{boxes} boxes: stable set differs from insertion image"
+
+
+def _array_standardization_laws(mode: Mode, arr: TwoRowedArray) -> Iterator[str]:
+    direction = MODE_SPECS[mode].direction
+    p, q = array_insert(arr, mode)
+    std_top = standardize(arr.top, "left")
+    std_bottom = standardize(arr.bottom, direction)
+    q_std = standardize_tableau(q, direction)
+    p_std = standardize_tableau(p, direction)
+    if q_std != array_insert(TwoRowedArray(std_top, arr.bottom), mode).q:
+        yield f"({arr}): recording standardization (top only)"
+    if q_std != array_insert(TwoRowedArray(std_top, std_bottom), mode).q:
+        yield f"({arr}): recording standardization (both rows)"
+    if p_std != array_insert(TwoRowedArray(std_top, std_bottom), mode).p:
+        yield f"({arr}): insertion standardization (both rows)"
+    if p_std != array_insert(TwoRowedArray(arr.top, std_bottom), mode).p:
+        yield f"({arr}): insertion standardization (bottom only)"
+
+
+def _relabeling_invariance(sigma: Word) -> Iterator[str]:
+    relabeled = tuple(3 * s + 1 for s in sigma)
+    for name in ("31-2", "13-2", "23-1", "32-1"):
+        if occurrences(sigma, name) != occurrences(relabeled, name):
+            yield f"{format_word(sigma)} vs relabeling, pattern {name}"
+
+
+def _closed_form_is_recursion(ev: tuple[int, ...]) -> Iterator[str]:
     for mode, spec in MODE_SPECS.items():
-        law_bad: list[str] = []
-        for arr in arrays_up_to(budgets.array_alphabet, budgets.array_len, mode):
-            if not len(arr):
-                continue
-            p, q = array_insert(arr, mode)
-            std_top = standardize(arr.top, "left")
-            std_bottom = standardize(arr.bottom, spec.direction)
-            q_std = standardize_tableau(q, spec.direction)
-            p_std = standardize_tableau(p, spec.direction)
-            if q_std != array_insert(TwoRowedArray(std_top, arr.bottom), mode).q:
-                law_bad.append(f"({arr}): recording standardization (top only)")
-            if q_std != array_insert(TwoRowedArray(std_top, std_bottom), mode).q:
-                law_bad.append(f"({arr}): recording standardization (both rows)")
-            if p_std != array_insert(TwoRowedArray(std_top, std_bottom), mode).p:
-                law_bad.append(f"({arr}): insertion standardization (both rows)")
-            if p_std != array_insert(TwoRowedArray(arr.top, std_bottom), mode).p:
-                law_bad.append(f"({arr}): insertion standardization (bottom only)")
-        cases.append(
-            _violations(
-                suite,
-                f"{mode} array standardization laws",
-                f"arrays over A_{budgets.array_alphabet}, length <= {budgets.array_len}",
-                law_bad,
-            )
-        )
+        if spec.count(ev) != spec.count_rec(ev):
+            yield f"{mode} ev={ev}"
 
-    relabel_bad: list[str] = []
-    pattern_names = ("31-2", "13-2", "23-1", "32-1")
-    for size in range(1, min(budgets.word_len, 4) + 1):
-        for sigma in permutations(range(1, size + 1)):
-            relabeled = tuple(3 * s + 1 for s in sigma)
-            for name in pattern_names:
-                if occurrences(sigma, name) != occurrences(relabeled, name):
-                    relabel_bad.append(f"{format_word(sigma)} vs relabeling, pattern {name}")
-    cases.append(
-        _violations(
-            suite,
-            "pattern occurrences invariant under order-isomorphic relabeling",
-            f"standard words of length <= {min(budgets.word_len, 4)}",
-            relabel_bad,
-        )
-    )
 
+def _zero_entries_ignored(ev: tuple[int, ...]) -> Iterator[str]:
+    for pos in range(len(ev) + 1):
+        padded = ev[:pos] + (0,) + ev[pos:]
+        if any(spec.count(padded) != spec.count(ev) for spec in MODE_SPECS.values()):
+            yield f"ev={ev} padded at {pos}"
+
+
+def _rps_first_entry_ignored(ev: tuple[int, ...]) -> Iterator[str]:
+    reference = count_rps((1,) + ev)
+    for first in range(2, 5):
+        if count_rps((first,) + ev) != reference:
+            yield f"first={first}, tail={ev}"
+
+
+def _fiber_times_hook(n: int, lam: Shape) -> Iterator[str]:
+    if fiber_size(n, lam) * hook_count(n, lam) != factorial(n):
+        yield f"shape={lam}"
+
+
+def _stirling_by_columns(n: int, item: tuple[int, int]) -> Iterator[str]:
+    k, total = item
+    if total != stirling2(n, k):
+        yield f"k={k}"
+
+
+def _bottom_row_bounds(ev: tuple[int, ...]) -> Iterator[str]:
+    lo, hi = max(ev), sum(ev)
+    for t in {ps_insert(w, "lps") for w in words_with_evaluation(ev)}:
+        if not lo <= len(t.columns) <= hi:
+            yield f"ev={ev}, shape={t.shape}"
+    for t in {ps_insert(w, "rps") for w in words_with_evaluation(ev)}:
+        if not 1 <= len(t.columns) <= len(ev):
+            yield f"rps ev={ev}, shape={t.shape}"
+
+
+def _preimages_within_hook_count(n: int, item: tuple[Tableau, int]) -> Iterator[str]:
+    t, preimages = item
+    if preimages > hook_count(n, t.shape):
+        yield f"shape={t.shape}"
+
+
+def _projection_laws(item: tuple[int, Shape, Tableau]) -> Iterator[str]:
+    n, lam, t = item
+    image = ps_project(t)
+    if ps_project(image) != image:
+        yield f"n={n}, shape={lam}: not idempotent"
+    if image.shape != t.shape or image.content() != t.content():
+        yield f"n={n}, shape={lam}: shape or content changed"
+    if classify(t).is_standard_ps and image != t:
+        yield f"n={n}, shape={lam}: standard tableau moved"
+
+
+# ---------------------------------------------------------------------------
+# single computations: each returns (formula, observed)
+
+
+def _standard_stable_pairs(n: int) -> tuple[str, str]:
+    image = {extended_insert(sigma, "lps"): sigma for sigma in permutations(range(1, n + 1))}
+    members = [pair for pair in _standard_pairs_over(n) if is_stable_pair(pair, "lps", "standard")]
+    problems: list[str] = []
+    if len(image) != factorial(n):
+        problems.append(f"insertion not injective on {n}!")
+    if set(members) != set(image):
+        problems.append("stable pairs differ from the insertion image")
+    observed = f"{len(members)} stable pairs" + ("" if not problems else "; " + problems[0])
+    return f"{factorial(n)} stable pairs", observed
+
+
+def _non_member_rejected() -> tuple[str, str]:
     bad_pair = TableauPair(Tableau([[1, 2, 3], [1]]), Tableau([[1, 3, 4], [2]]))
-    rejected = not is_stable_pair(bad_pair, "lps", "word") and not is_stable_pair(
-        bad_pair, "lps", "array"
+    rejected = not any(is_stable_pair(bad_pair, "lps", level) for level in ("word", "array"))
+    diverges = extended_insert(read_by_recording(bad_pair), "lps") != bad_pair
+    observed = f"{'rejected' if rejected else 'accepted'}, {'diverges' if diverges else 'reinserts'}"
+    return "rejected, diverges", observed
+
+
+def _count_vs_bruteforce(mode: Mode, max_total: int, ev: tuple[int, ...]) -> tuple[int, str]:
+    spec = MODE_SPECS[mode]
+    formula = spec.count(ev)
+    recursive = spec.count_rec(ev)
+    brute = count_tableaux_bruteforce(ev, mode, max_total=max_total)
+    observed = str(brute) if formula == recursive else f"{brute} (recursion gave {recursive})"
+    return formula, observed
+
+
+def _bell_routes(n: int) -> tuple[int, str]:
+    ones = (1,) * n
+    formula = bell_rowsum(n)
+    pieces = {
+        "hook": bell_hook(n),
+        **{mode: spec.count(ones) for mode, spec in MODE_SPECS.items()},
+        "partitions": count_set_partitions(n),
+    }
+    mismatches = [k for k, v in pieces.items() if v != formula]
+    return formula, str(pieces["partitions"]) if not mismatches else f"mismatch in {mismatches}"
+
+
+def _factorial_bound(n: int) -> tuple[str, str]:
+    total = sum(hook_count(n, lam) ** 2 for lam in compositions(n))
+    formula = f"{factorial(n)} <= {total}"
+    return formula, formula if factorial(n) <= total else f"{factorial(n)} > {total}"
+
+
+def _tableaux_per_shape(n: int, lam: Shape) -> tuple[int, int]:
+    return hook_count(n, lam), len(enumerate_pstab(tuple(range(1, n + 1)), lam, method="direct"))
+
+
+def _enumerators_agree(n: int) -> tuple[str, str]:
+    alphabet = tuple(range(1, n + 1))
+    agree = all(
+        enumerate_pstab(alphabet, lam, method="direct")
+        == enumerate_pstab(alphabet, lam, method="filter")
+        == enumerate_pstab(alphabet, lam, method="project")
+        for lam in compositions(n)
     )
-    reading = read_by_recording(bad_pair)
-    diverges = extended_insert(reading, "lps") != bad_pair
-    cases.append(
-        _case(
-            suite,
-            "non-member pair is rejected and its reading inserts elsewhere",
-            "pair ([[1,2,3],[1]], [[1,3,4],[2]]), reading 3121",
-            "rejected, diverges",
-            f"{'rejected' if rejected else 'accepted'}, {'diverges' if diverges else 'reinserts'}",
-        )
-    )
-    return cases
+    return "agree", "agree" if agree else "disagree"
 
 
-def _counting_suite(max_n: int, budgets: Budgets, jobs: int = 1) -> list[CaseResult]:
-    suite = "counting"
-    cases = []
-
-    for ev in _positive_evaluations(budgets.eval_sum, budgets.eval_symbols):
-        for mode, spec in MODE_SPECS.items():
-            formula = spec.count(ev)
-            recursive = spec.count_rec(ev)
-            brute = count_tableaux_bruteforce(ev, mode, max_total=budgets.eval_sum)
-            observed = str(brute) if formula == recursive else f"{brute} (recursion gave {recursive})"
-            cases.append(
-                _case(suite, f"{mode} tableau count, formula vs brute force", f"ev={ev}", formula, observed)
-            )
-
-    rec_bad: list[str] = []
-    for ev in _positive_evaluations(budgets.rec_eval_sum, budgets.rec_eval_symbols):
-        for mode, spec in MODE_SPECS.items():
-            if spec.count(ev) != spec.count_rec(ev):
-                rec_bad.append(f"{mode} ev={ev}")
-    cases.append(
-        _violations(
-            suite,
-            "closed form equals recursion",
-            f"evaluations with sum <= {budgets.rec_eval_sum}, <= {budgets.rec_eval_symbols} symbols",
-            rec_bad,
-        )
-    )
-
-    zero_bad: list[str] = []
-    for ev in _positive_evaluations(min(budgets.eval_sum, 6), 3):
-        for pos in range(len(ev) + 1):
-            padded = ev[:pos] + (0,) + ev[pos:]
-            if any(spec.count(padded) != spec.count(ev) for spec in MODE_SPECS.values()):
-                zero_bad.append(f"ev={ev} padded at {pos}")
-    cases.append(_violations(suite, "counts ignore zero entries", "padded evaluations", zero_bad))
-
-    invariance_bad: list[str] = []
-    for ev in _positive_evaluations(min(budgets.eval_sum, 6), 3):
-        reference = count_rps((1,) + ev)
-        for first in range(2, 5):
-            if count_rps((first,) + ev) != reference:
-                invariance_bad.append(f"first={first}, tail={ev}")
-    cases.append(
-        _violations(suite, "rps count ignores the first entry", "tails with sum <= 6", invariance_bad)
-    )
-
-    for n in range(1, max_n + 1):
-        ones = (1,) * n
-        formula = bell_rowsum(n)
-        pieces = {
-            "hook": bell_hook(n),
-            **{mode: spec.count(ones) for mode, spec in MODE_SPECS.items()},
-            "partitions": count_set_partitions(n),
-        }
-        mismatches = [k for k, v in pieces.items() if v != formula]
-        observed = str(pieces["partitions"]) if not mismatches else f"mismatch in {mismatches}"
-        cases.append(_case(suite, "Bell number, all four routes", f"n={n}", formula, observed))
-
-    for n in range(1, max(budgets.formula_n, max_n) + 1):
-        fiber_bad = [
-            f"shape={lam}"
-            for lam in compositions(n)
-            if fiber_size(n, lam) * hook_count(n, lam) != factorial(n)
-        ]
-        cases.append(
-            _violations(suite, "fiber size times hook count equals n!", f"n={n}", fiber_bad)
-        )
-
-    for n in range(1, min(max(budgets.formula_n, max_n), 10) + 1):
-        by_columns: dict[int, int] = {}
-        for lam in compositions(n):
-            by_columns[len(lam)] = by_columns.get(len(lam), 0) + hook_count(n, lam)
-        stirling_bad = [
-            f"k={k}" for k in range(1, n + 1) if by_columns.get(k, 0) != stirling2(n, k)
-        ]
-        cases.append(
-            _violations(suite, "hook counts grouped by columns match Stirling numbers", f"n={n}", stirling_bad)
-        )
-
-    for n in range(1, max(budgets.formula_n, max_n) + 1):
-        total = sum(hook_count(n, lam) ** 2 for lam in compositions(n))
-        cases.append(
-            _case(
-                suite,
-                "factorial bounded by sum of squared hook counts",
-                f"n={n}",
-                f"{factorial(n)} <= {total}",
-                f"{factorial(n)} <= {total}" if factorial(n) <= total else f"{factorial(n)} > {total}",
-            )
-        )
-
-    bound_bad: list[str] = []
-    for ev in _positive_evaluations(min(budgets.eval_sum, 6), 3):
-        tableaux_seen = {ps_insert(w, "lps") for w in words_with_evaluation(ev)}
-        lo, hi = max(ev), sum(ev)
-        for t in tableaux_seen:
-            if not lo <= len(t.columns) <= hi:
-                bound_bad.append(f"ev={ev}, shape={t.shape}")
-        for t in {ps_insert(w, "rps") for w in words_with_evaluation(ev)}:
-            if not 1 <= len(t.columns) <= len(ev):
-                bound_bad.append(f"rps ev={ev}, shape={t.shape}")
-    cases.append(
-        _violations(suite, "bottom row length within its bounds", "evaluations with sum <= 6", bound_bad)
-    )
-
-    for n in range(1, max_n + 1):
-        alphabet = tuple(range(1, n + 1))
-        for lam in compositions(n):
-            direct = enumerate_pstab(alphabet, lam, method="direct")
-            cases.append(
-                _case(
-                    suite,
-                    "standard tableaux per shape match hook count",
-                    f"n={n}, shape={lam}",
-                    hook_count(n, lam),
-                    len(direct),
-                )
-            )
-        if n <= 6:
-            agree = True
-            for lam in compositions(n):
-                direct = enumerate_pstab(alphabet, lam, method="direct")
-                if direct != enumerate_pstab(alphabet, lam, method="filter"):
-                    agree = False
-                if direct != enumerate_pstab(alphabet, lam, method="project"):
-                    agree = False
-            cases.append(
-                _case(suite, "three tableau enumerators agree", f"n={n}", "agree", "agree" if agree else "disagree")
-            )
-
-    fiber_args = [(n, lam) for n in range(1, max_n + 1) for lam in compositions(n)]
-    workers = min(jobs, os.cpu_count() or 1, len(fiber_args))
-    if workers > 1:
-        with Pool(workers) as pool:
-            fiber_rows = pool.map(_fiber_uniformity_case, fiber_args)
-    else:
-        fiber_rows = [_fiber_uniformity_case(args) for args in fiber_args]
-    for (n, lam), (expected, observed) in zip(fiber_args, fiber_rows):
-        cases.append(
-            _case(suite, "projection fibers uniform at the predicted size", f"n={n}, shape={lam}", expected, observed)
-        )
-
-    for n in range(1, max_n + 1):
-        images = {}
-        for mode in MODE_SPECS:
-            images[mode] = {ps_insert(sigma, mode) for sigma in permutations(range(1, n + 1))}
-        bell = bell_rowsum(n)
-        ok = images["lps"] == images["rps"] and len(images["lps"]) == bell
-        cases.append(
-            _case(
-                suite,
-                "insertion image over standard words has Bell size, modes agree",
-                f"n={n}",
-                bell,
-                len(images["lps"]) if ok else f"{len(images['lps'])} (modes agree: {images['lps'] == images['rps']})",
-            )
-        )
-
-    for n in range(1, max_n + 1):
-        census: dict[Tableau, int] = {}
-        for sigma in permutations(range(1, n + 1)):
-            t = ps_insert(sigma, "lps")
-            census[t] = census.get(t, 0) + 1
-        over = [
-            f"shape={t.shape}" for t, k in census.items() if k > hook_count(n, t.shape)
-        ]
-        cases.append(
-            _violations(suite, "preimage count per tableau bounded by hook count", f"n={n}", over)
-        )
-
-    witness_alphabet = (2, 4, 5, 6)
-    witness = Tableau([[2, 5], [4, 6]])
-    hits = sum(
-        1 for sigma in permutations(witness_alphabet) if ps_insert(sigma, "lps") == witness
-    )
-    bound = hook_count(4, (2, 2))
-    cases.append(
-        _case(
-            suite,
-            "hook bound on preimages is strict somewhere",
-            "alphabet {2,4,5,6}, tableau [[2,5],[4,6]]",
-            f"strictly below {bound}",
-            f"strictly below {bound}" if hits < bound else f"{hits} not below {bound}",
-        )
-    )
-
-    project_bad: list[str] = []
-    for n in range(1, min(max_n, 4) + 1):
-        alphabet = tuple(range(1, n + 1))
-        for lam in compositions(n):
-            for t in fillings(alphabet, lam):
-                image = ps_project(t)
-                if ps_project(image) != image:
-                    project_bad.append(f"n={n}, shape={lam}: not idempotent")
-                if image.shape != t.shape or image.content() != t.content():
-                    project_bad.append(f"n={n}, shape={lam}: shape or content changed")
-                if classify(t).is_standard_ps and image != t:
-                    project_bad.append(f"n={n}, shape={lam}: standard tableau moved")
-    cases.append(
-        _violations(suite, "projection idempotent, preserving, fixing standard tableaux", f"n <= {min(max_n, 4)}", project_bad)
-    )
-    return cases
-
-
-def _fiber_uniformity_case(args: tuple[int, Shape]) -> tuple[str, str]:
-    n, lam = args
+def _fibers_uniform(n: int, lam: Shape) -> tuple[str, str]:
     alphabet = tuple(range(1, n + 1))
     census = fiber_census(alphabet, lam)
     expected_size = fiber_size(n, lam)
     expected = f"{hook_count(n, lam)} fibers of size {expected_size}"
-    targets = set(enumerate_pstab(alphabet, lam, method="direct"))
-    if set(census) != targets:
+    if set(census) != set(enumerate_pstab(alphabet, lam, method="direct")):
         return expected, "projection image differs from the standard tableaux"
     sizes = set(census.values())
     if sizes != {expected_size}:
@@ -859,14 +680,189 @@ def _fiber_uniformity_case(args: tuple[int, Shape]) -> tuple[str, str]:
     return expected, f"{len(census)} fibers of size {expected_size}"
 
 
+def _standard_image_has_bell_size(n: int) -> tuple[int, int | str]:
+    lps, rps = (
+        {ps_insert(sigma, mode) for sigma in permutations(range(1, n + 1))} for mode in ("lps", "rps")
+    )
+    bell = bell_rowsum(n)
+    if lps == rps and len(lps) == bell:
+        return bell, len(lps)
+    return bell, f"{len(lps)} (modes agree: {lps == rps})"
+
+
+def _hook_bound_strict() -> tuple[str, str]:
+    witness = Tableau([[2, 5], [4, 6]])
+    hits = sum(1 for sigma in permutations((2, 4, 5, 6)) if ps_insert(sigma, "lps") == witness)
+    bound = hook_count(4, (2, 2))
+    expected = f"strictly below {bound}"
+    return expected, expected if hits < bound else f"{hits} not below {bound}"
+
+
+# ---------------------------------------------------------------------------
+# the case table and its runner
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """One case of the report.
+
+    Without ``inputs``, ``check()`` returns ``(formula, observed)``.  With
+    them, ``check(item)`` yields the violations found at each item of
+    ``inputs()``.
+    """
+
+    suite: str
+    name: str
+    case_input: str
+    check: Callable
+    inputs: Callable[[], Iterable] | None = None
+
+
+def _case_table(max_n: int, b: Budgets) -> Iterator[_Entry]:
+    """Every verify case, in report order.
+
+    Entries bind arguments and oracle functions only; the package functions
+    a check calls are looked up when it runs, so code that rebinds them in
+    this module (a test's fake, a tracer) sees every call.
+    """
+    words = partial(words_up_to, b.word_alphabet, b.word_len)
+    word_sweep = f"words over A_{b.word_alphabet}, length <= {b.word_len}"
+    array_sweep = f"arrays over A_{b.array_alphabet}, length <= {b.array_len}"
+    formula_n = max(b.formula_n, max_n)
+
+    case = partial(_Entry, "insertion")
+    for mode in MODE_SPECS:
+        yield case(f"{mode} insertion well-formed", word_sweep,
+                   partial(_insertion_well_formed, mode, b.word_alphabet), words)
+        yield case(f"{mode} standardization laws", word_sweep, partial(_word_standardization_laws, mode), words)
+        yield case(f"{mode} word roundtrip", word_sweep, partial(_word_reads_back, mode), words)
+    for mode in MODE_SPECS:
+        arrays = partial(arrays_up_to, b.array_alphabet, b.array_len, mode)
+        yield case(f"{mode} array roundtrip", array_sweep, partial(_array_reverses, mode), arrays)
+        yield case(f"{mode} identity-top array matches word insertion", array_sweep,
+                   partial(_identity_top_array, mode), partial(words_up_to, b.array_alphabet, b.array_len))
+    for mode in MODE_SPECS:
+        yield case(f"{mode} words inserting to a standardized tableau are standardizations",
+                   f"tableaux from words over A_2, <= {b.reading_boxes} boxes",
+                   partial(_standardized_preimages, mode), partial(_distinct_insertions, mode, b.reading_boxes))
+
+    case = partial(_Entry, "correspondence")
+    for n in range(1, max_n + 1):
+        yield case("standard-level stable pairs count", f"n={n}", partial(_standard_stable_pairs, n))
+    for mode in MODE_SPECS:
+        yield case(f"{mode} word-level roundtrip", word_sweep, partial(_rsk_roundtrip, mode, "word"), words)
+        yield case(f"{mode} word-level stable pairs are exactly the insertion image",
+                   f"over A_{b.word_alphabet}, <= {b.word_len} boxes",
+                   partial(_word_stable_set, mode, b.word_alphabet), partial(range, 1, b.word_len + 1))
+    for mode in MODE_SPECS:
+        arrays = partial(arrays_up_to, b.array_alphabet, b.array_len, mode)
+        yield case(f"{mode} array-level roundtrip", array_sweep, partial(_rsk_roundtrip, mode, "array"), arrays)
+        yield case(f"{mode} array-level stable pairs are exactly the insertion image",
+                   f"over A_{b.array_alphabet}, <= {b.array_len} boxes",
+                   partial(_array_stable_set, mode, b.array_alphabet), partial(range, 1, b.array_len + 1))
+    for mode in MODE_SPECS:
+        yield case(f"{mode} array standardization laws", array_sweep, partial(_array_standardization_laws, mode),
+                   partial(_nonempty_arrays, b.array_alphabet, b.array_len, mode))
+    relabel_len = min(b.word_len, 4)
+    yield case("pattern occurrences invariant under order-isomorphic relabeling",
+               f"standard words of length <= {relabel_len}",
+               _relabeling_invariance, partial(_standard_words, relabel_len))
+    yield case("non-member pair is rejected and its reading inserts elsewhere",
+               "pair ([[1,2,3],[1]], [[1,3,4],[2]]), reading 3121", _non_member_rejected)
+
+    case = partial(_Entry, "counting")
+    evaluations = _positive_evaluations(b.eval_sum, b.eval_symbols)
+    for ev in evaluations:
+        for mode in MODE_SPECS:
+            yield case(f"{mode} tableau count, formula vs brute force", f"ev={ev}",
+                       partial(_count_vs_bruteforce, mode, b.eval_sum, ev))
+    if not evaluations:  # one case per evaluation, so report the family's empty sweep itself
+        yield case("tableau count, formula vs brute force",
+                   f"evaluations with sum <= {b.eval_sum}, <= {b.eval_symbols} symbols",
+                   lambda ev: (), partial(iter, evaluations))
+    yield case("closed form equals recursion",
+               f"evaluations with sum <= {b.rec_eval_sum}, <= {b.rec_eval_symbols} symbols",
+               _closed_form_is_recursion, partial(_positive_evaluations, b.rec_eval_sum, b.rec_eval_symbols))
+    small_evaluations = partial(_positive_evaluations, min(b.eval_sum, 6), 3)
+    yield case("counts ignore zero entries", "padded evaluations", _zero_entries_ignored, small_evaluations)
+    yield case("rps count ignores the first entry", "tails with sum <= 6",
+               _rps_first_entry_ignored, small_evaluations)
+    for n in range(1, max_n + 1):
+        yield case("Bell number, all four routes", f"n={n}", partial(_bell_routes, n))
+    for n in range(1, formula_n + 1):
+        yield case("fiber size times hook count equals n!", f"n={n}",
+                   partial(_fiber_times_hook, n), partial(compositions, n))
+    for n in range(1, min(formula_n, 10) + 1):
+        yield case("hook counts grouped by columns match Stirling numbers", f"n={n}",
+                   partial(_stirling_by_columns, n), partial(_hook_counts_by_columns, n))
+    for n in range(1, formula_n + 1):
+        yield case("factorial bounded by sum of squared hook counts", f"n={n}", partial(_factorial_bound, n))
+    yield case("bottom row length within its bounds", "evaluations with sum <= 6",
+               _bottom_row_bounds, small_evaluations)
+    for n in range(1, max_n + 1):
+        for lam in compositions(n):
+            yield case("standard tableaux per shape match hook count", f"n={n}, shape={lam}",
+                       partial(_tableaux_per_shape, n, lam))
+        if n <= 6:
+            yield case("three tableau enumerators agree", f"n={n}", partial(_enumerators_agree, n))
+    for n in range(1, max_n + 1):
+        for lam in compositions(n):
+            yield case("projection fibers uniform at the predicted size", f"n={n}, shape={lam}",
+                       partial(_fibers_uniform, n, lam))
+    for n in range(1, max_n + 1):
+        yield case("insertion image over standard words has Bell size, modes agree", f"n={n}",
+                   partial(_standard_image_has_bell_size, n))
+    for n in range(1, max_n + 1):
+        yield case("preimage count per tableau bounded by hook count", f"n={n}",
+                   partial(_preimages_within_hook_count, n), partial(_lps_preimage_counts, n))
+    yield case("hook bound on preimages is strict somewhere", "alphabet {2,4,5,6}, tableau [[2,5],[4,6]]",
+               _hook_bound_strict)
+    yield case("projection idempotent, preserving, fixing standard tableaux", f"n <= {min(max_n, 4)}",
+               _projection_laws, partial(_small_fillings, min(max_n, 4)))
+
+
+def _run_entry(entry: _Entry) -> CaseResult:
+    """Run one case; a sweep that checks no input, or an exception, fails it."""
+    try:
+        if entry.inputs is None:
+            formula, observed = entry.check()
+        else:
+            formula, checked, bad = "0 violations", 0, []
+            for checked, item in enumerate(entry.inputs(), 1):
+                bad.extend(entry.check(item))
+            if not checked:
+                observed = "empty sweep"
+            else:
+                observed = f"{len(bad)} violations, first: {bad[0]}" if bad else "0 violations"
+    except Exception as exc:
+        formula, observed = "runs to completion", f"{type(exc).__name__}: {exc}"
+    formula, observed = str(formula), str(observed)
+    return CaseResult(entry.suite, entry.name, entry.case_input, formula, observed, formula == observed)
+
+
+# A pool worker's own copy of the table, built by _load_table: entries hold
+# functions and partials, so workers receive indices instead.
+_worker_table: list[_Entry] = []
+
+
+def _load_table(max_n: int, budgets: Budgets) -> None:
+    global _worker_table
+    _worker_table = list(_case_table(max_n, budgets))
+
+
+def _run_worker_entry(index: int) -> CaseResult:
+    return _run_entry(_worker_table[index])
+
+
 def verify_suite(max_n: int = 4, budgets: Budgets | None = None, jobs: int = 1) -> VerificationReport:
     """Run every cross-check of the package at the given scale.
 
     ``max_n`` bounds the n-indexed case families (bijections, Bell numbers,
     tableau enumerations, fiber sweeps); ``budgets`` bounds the word, array,
-    and evaluation sweeps.  ``jobs`` worker processes run the fiber sweeps,
-    capped by the CPU count and the number of sweeps.  Failures become report
-    entries, never exceptions.
+    and evaluation sweeps.  ``jobs`` worker processes share the cases, capped
+    by the CPU count and the number of cases.  Failures become report
+    entries, never exceptions: a case that raises, or whose sweep checks no
+    input, fails on its own and every other case still runs.
     """
     if max_n < 1:
         raise InvalidInputError("max_n must be at least 1")
@@ -874,25 +870,12 @@ def verify_suite(max_n: int = 4, budgets: Budgets | None = None, jobs: int = 1) 
         raise InvalidInputError("jobs must be at least 1")
     budgets = budgets or Budgets()
     start = time.perf_counter()
-    cases: list[CaseResult] = []
-    builders = (
-        ("insertion", lambda: _insertion_suite(budgets)),
-        ("correspondence", lambda: _correspondence_suite(max_n, budgets)),
-        ("counting", lambda: _counting_suite(max_n, budgets, jobs)),
-    )
-    for suite, build in builders:
-        try:
-            cases.extend(build())
-        except Exception as exc:
-            cases.append(
-                CaseResult(
-                    suite,
-                    "suite aborted by an unexpected error",
-                    "-",
-                    "runs to completion",
-                    f"{type(exc).__name__}: {exc}",
-                    False,
-                )
-            )
+    table = list(_case_table(max_n, budgets))
+    workers = min(jobs, os.cpu_count() or 1, len(table))
+    if workers > 1:
+        with Pool(workers, initializer=_load_table, initargs=(max_n, budgets)) as pool:
+            cases = pool.map(_run_worker_entry, range(len(table)))
+    else:
+        cases = [_run_entry(entry) for entry in table]
     elapsed = time.perf_counter() - start
     return VerificationReport(max_n=max_n, cases=cases, elapsed_seconds=elapsed)

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +212,34 @@ def test_verify_small_passes(capsys):
     assert code == 0
     assert "summary:" in out
     assert "[FAIL]" not in out
+
+
+def test_verify_report_matches_golden(capsys):
+    r"""The report, with its elapsed time masked, equals tests/data/verify_small.txt.
+
+    Regenerate the file with:
+
+        PYTHONPATH=src python -m pstab verify --max-n 2 --word-len 2 --array-len 2 --eval-sum 3 \
+            | sed -E '$ s/ in [0-9]+\.[0-9]{2} s$/ in <elapsed> s/' > tests/data/verify_small.txt
+    """
+    code, out, _ = run(
+        capsys, "verify", "--max-n", "2",
+        "--word-len", "2", "--array-len", "2", "--eval-sum", "3",
+    )
+    assert code == 0
+    golden = (Path(__file__).parent / "data" / "verify_small.txt").read_text(encoding="utf-8")
+    assert re.sub(r" in \d+\.\d\d s$", " in <elapsed> s", out) == golden.rstrip("\n")
+
+
+def test_verify_fails_empty_sweeps(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--max-n", "1",
+        "--word-len", "0", "--array-len", "0", "--eval-sum", "0",
+    )
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert failed and all(line.endswith("oracle=empty sweep") for line in failed)
+    assert any("formula vs brute force" in line for line in failed)
 
 
 def test_verify_json_output(capsys):

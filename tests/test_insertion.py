@@ -138,8 +138,9 @@ def test_two_rowed_array_validation_and_parsing():
     assert TwoRowedArray.from_json(arr.to_json()) == arr
     with pytest.raises(InvalidInputError):
         TwoRowedArray.parse("1 2 3")
-    with pytest.raises(InvalidInputError):
-        TwoRowedArray.from_json({"top": [1]})
+    for bad in ({"top": [1]}, {"top": 1, "bottom": [1]}, {"top": [1], "bottom": "1"}):
+        with pytest.raises(InvalidInputError):
+            TwoRowedArray.from_json(bad)
     assert arr.is_lexicographic() and not arr.is_reverse_lexicographic()
     assert not TwoRowedArray(top=(2, 1), bottom=(1, 1)).is_reverse_lexicographic()
 

@@ -146,14 +146,15 @@ def test_verify_suite_rejects_bad_jobs():
         verify_suite(max_n=1, budgets=Budgets(word_len=1, array_len=1, eval_sum=2), jobs=0)
 
 
-@pytest.mark.parametrize("jobs, cpus, expected", [(10**6, 8, 3), (10**6, 2, 2), (2, 8, 2), (1, 8, None)])
+@pytest.mark.parametrize("jobs, cpus, expected", [(10**6, 8, 8), (10**6, 2, 2), (2, 8, 2), (1, 8, None)])
 def test_verify_suite_clamps_the_pool(monkeypatch, jobs, cpus, expected):
-    # max_n=2 gives three fiber sweeps: shapes (1,), (2,) and (1, 1)
+    # the pool maps over cases, and these budgets give far more than eight
     sizes = []
 
     class FakePool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer, initargs):
             sizes.append(processes)
+            initializer(*initargs)  # a worker builds its own case table
 
         def __enter__(self):
             return self
@@ -165,6 +166,7 @@ def test_verify_suite_clamps_the_pool(monkeypatch, jobs, cpus, expected):
             return [func(item) for item in items]
 
     monkeypatch.setattr("pstab.oracle.Pool", FakePool)
+    monkeypatch.setattr("pstab.oracle._worker_table", [])
     monkeypatch.setattr("pstab.oracle.os.cpu_count", lambda: cpus)
     report = verify_suite(max_n=2, budgets=Budgets(word_len=1, array_len=1, eval_sum=2), jobs=jobs)
     assert report.passed
@@ -237,10 +239,37 @@ def test_verify_suite_turns_crashes_into_failing_cases(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
+    budgets = Budgets(word_len=1, array_len=1, eval_sum=2)
     monkeypatch.setattr(oracle, "ps_insert", broken)
-    report = verify_suite(max_n=1, budgets=Budgets(word_len=1, array_len=1, eval_sum=2))
+    report = verify_suite(max_n=1, budgets=budgets)
     assert not report.passed
     assert any("RuntimeError" in case.oracle for case in report.failures())
+
+    # a crash fails only the cases that hit it; every later case still runs
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "count_set_partitions", broken)
+    report = verify_suite(max_n=2, budgets=budgets)
+    assert [(c.name, c.case_input) for c in report.failures()] == [
+        ("Bell number, all four routes", "n=1"),
+        ("Bell number, all four routes", "n=2"),
+    ]
+    assert all(
+        (c.formula, c.oracle) == ("runs to completion", "RuntimeError: boom") for c in report.failures()
+    )
+    last = report.cases[-1]
+    assert last.name == "projection idempotent, preserving, fixing standard tableaux" and last.passed
+
+
+def test_verify_suite_fails_empty_sweeps():
+    # with no arrays to check once the empty one is skipped, or no box count
+    report = verify_suite(max_n=1, budgets=Budgets(array_len=0))
+    assert not report.passed
+    assert [c.name for c in report.failures()] == [
+        f"{mode} {name}"
+        for name in ("array-level stable pairs are exactly the insertion image", "array standardization laws")
+        for mode in ("lps", "rps")
+    ]
+    assert all(c.oracle == "empty sweep" for c in report.failures())
 
 
 def test_report_aggregate_fails_when_any_case_fails():
