@@ -12,7 +12,6 @@ from .correspondence import (
 from .counting import (
     bell_hook,
     bell_rowsum,
-    bell_rowsum_terms,
     binomial,
     bracket_lps,
     bracket_rps,
@@ -50,6 +49,10 @@ from .oracle import (
     Budgets,
     CaseResult,
     VerificationReport,
+    bell_hook_sum,
+    bell_rowsum_terms,
+    bracket_sum_lps,
+    bracket_sum_rps,
     count_set_partitions,
     count_tableaux_bruteforce,
     enumerate_pstab,

@@ -110,9 +110,26 @@ def _cmd_unrsk(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_count(value: int) -> None:
+    """Print an exact count in full, however many digits it has.
+
+    Python 3.11 (and 3.10.7 on) caps int-to-str conversion at 4300 digits by
+    default, a guard against untrusted text that a computed count does not
+    need.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
     ev = parse_evaluation(args.evaluation)
-    print(mode_spec(args.mode).count(ev))
+    _print_count(mode_spec(args.mode).count(ev))
     return 0
 
 
@@ -120,17 +137,17 @@ def _cmd_bell(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise InvalidInputError("n must be at least 1")
     if args.method == "rowsum":
-        print(bell_rowsum(args.n))
+        _print_count(bell_rowsum(args.n))
     elif args.method == "hook":
-        print(bell_hook(args.n))
+        _print_count(bell_hook(args.n))
     else:
-        print(count_set_partitions(args.n))
+        _print_count(count_set_partitions(args.n))
     return 0
 
 
 def _cmd_hook(args: argparse.Namespace) -> int:
     shape = parse_shape(args.shape)
-    print(hook_count(args.n, shape))
+    _print_count(hook_count(args.n, shape))
     return 0
 
 

@@ -1,9 +1,12 @@
 """Exact counting of patience sorting tableaux.
 
-Closed forms and recursions for the number of lPS/rPS tableaux with a given
-evaluation, two independent routes to the Bell numbers, Stirling numbers,
-the hook-length-style count of standard tableaux per composition shape, the
-matching fiber size of the sorting projection, and the projection itself.
+Polynomial-time counts and recursions for the number of lPS/rPS tableaux
+with a given evaluation, two independent routes to the Bell numbers, Stirling
+numbers, the hook-length-style count of standard tableaux per composition
+shape, the matching fiber size of the sorting projection, and the projection
+itself.  The paper's literal sums (over every bottom row, every 0-1 row and
+every composition) are exponential; they live in :mod:`pstab.oracle` as
+cross-checks of the dynamic programs here.
 
 Everything is ordinary Python integer arithmetic, hence arbitrary precision;
 divisions are exact and asserted to be so.
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalError, InvalidInputError
@@ -27,7 +30,7 @@ def binomial(m: int, k: int) -> Count:
     """Binomial coefficient with the convention that out-of-range ``k`` gives 0."""
     if k < 0 or k > m:
         return 0
-    return factorial(m) // (factorial(k) * factorial(m - k))
+    return comb(m, k)
 
 
 def _normalize_evaluation(m: Iterable[int]) -> tuple[int, ...]:
@@ -77,15 +80,25 @@ def bracket_rps(m_tail: Sequence[int], j1: int, j: Sequence[int]) -> Count:
 
 
 def count_lps(m: Iterable[int]) -> Count:
-    """Number of distinct lPS tableaux with evaluation ``m`` (closed form).
+    """Number of distinct lPS tableaux with evaluation ``m``.
 
-    Sums :func:`bracket_lps` over all bottom-row choices 0 <= j_a <= m_a.
-    Zero entries of ``m`` are dropped first; they cannot change the count.
+    A dynamic program over the running top t = m_1 + j_2 + ... + j_{a-1} of
+    :func:`bracket_lps`: step a multiplies by C(t, m_a - j_a) and moves to
+    t + j_a, and the answer sums the final states.  That is
+    O(len(m) * sum(m) * max(m)) binomials instead of the prod(m_a + 1)
+    brackets of the literal sum, :func:`pstab.oracle.bracket_sum_lps`, which
+    checks it.  Zero entries of ``m`` are dropped first; they cannot change
+    the count.
     """
     ev = _normalize_evaluation(m)
-    if len(ev) == 1:
-        return 1
-    return sum(bracket_lps(ev, j) for j in product(*(range(x + 1) for x in ev[1:])))
+    ways = {ev[0]: 1}
+    for m_a in ev[1:]:
+        step: dict[int, int] = {}
+        for top, w in ways.items():
+            for j in range(m_a + 1):
+                step[top + j] = step.get(top + j, 0) + w * binomial(top, m_a - j)
+        ways = step
+    return sum(ways.values())
 
 
 def count_lps_rec(m: Iterable[int]) -> Count:
@@ -105,16 +118,24 @@ def count_lps_rec(m: Iterable[int]) -> Count:
 
 
 def count_rps(m: Iterable[int]) -> Count:
-    """Number of distinct rPS tableaux with evaluation ``m`` (closed form).
+    """Number of distinct rPS tableaux with evaluation ``m``.
 
-    Sums :func:`bracket_rps` over all 0-1 bottom rows.  The result never
-    depends on the first evaluation entry: every copy of the smallest symbol
-    sits in the first column.
+    A dynamic program over the running 0-1 sum ``acc`` of :func:`bracket_rps`
+    (lead j_1 = 0): step a multiplies by C(m_a + acc, m_a - j_a) for
+    j_a in {0, 1}.  That is O(len(m)^2) binomials instead of the 2^(n-1)
+    brackets of the literal sum, :func:`pstab.oracle.bracket_sum_rps`, which
+    checks it.  The result never depends on the first evaluation entry:
+    every copy of the smallest symbol sits in the first column.
     """
     ev = _normalize_evaluation(m)
-    if len(ev) == 1:
-        return 1
-    return sum(bracket_rps(ev[1:], 0, j) for j in product((0, 1), repeat=len(ev) - 1))
+    ways = [1]  # ways[acc]
+    for m_a in ev[1:]:
+        step = [0] * (len(ways) + 1)
+        for acc, w in enumerate(ways):
+            step[acc] += w * binomial(m_a + acc, m_a)
+            step[acc + 1] += w * binomial(m_a + acc, m_a - 1)
+        ways = step
+    return sum(ways)
 
 
 def count_rps_rec(m: Iterable[int]) -> Count:
@@ -135,32 +156,25 @@ def count_rps_rec(m: Iterable[int]) -> Count:
     return rec(ev)
 
 
-def bell_rowsum_terms(n: int) -> list[Count]:
-    """Terms of the 0-1 bottom-row expansion of the n-th Bell number.
-
-    One term per tuple (p_2, ..., p_n) in {0,1}^(n-1), in lexicographic
-    order: the product over a = 2..n-1 of (1 + p_2 + ... + p_a)^(1 - p_{a+1}).
-    """
-    if n < 1:
-        raise InvalidInputError("n must be at least 1")
-    terms = []
-    for p in product((0, 1), repeat=n - 1):
-        term = 1
-        acc = 1
-        for a in range(n - 2):
-            acc += p[a]
-            if p[a + 1] == 0:
-                term *= acc
-        terms.append(term)
-    return terms
-
-
 def bell_rowsum(n: int) -> Count:
     """n-th Bell number as the sum over 0-1 bottom rows of standard tableaux.
 
-    Equals ``count_lps((1,) * n)`` and ``count_rps((1,) * n)``.
+    A dynamic program over the running sum of the 0-1 row (starting at 1):
+    a 0 multiplies by the current sum and a 1 increments it, so O(n^2)
+    integer steps instead of the 2^(n-1) terms of
+    :func:`pstab.oracle.bell_rowsum_terms`, whose sum checks it.  Equals
+    ``count_lps((1,) * n)`` and ``count_rps((1,) * n)``.
     """
-    return sum(bell_rowsum_terms(n))
+    if n < 1:
+        raise InvalidInputError("n must be at least 1")
+    ways = [0, 1]  # ways[acc]
+    for _ in range(n - 1):
+        step = [0] * (len(ways) + 1)
+        for acc, w in enumerate(ways):
+            step[acc] += w * acc
+            step[acc + 1] += w
+        ways = step
+    return sum(ways)
 
 
 def stirling2(n: int, k: int) -> Count:
@@ -250,10 +264,23 @@ def fiber_size(n: int, shape: Sequence[int]) -> Count:
 
 
 def bell_hook(n: int) -> Count:
-    """n-th Bell number as the sum of :func:`hook_count` over all compositions."""
+    """n-th Bell number as the sum of :func:`hook_count` over all compositions.
+
+    Grouping the compositions of r by their first part a gives
+    hook_count(r, (a,) + rest) = C(r - 1, a - 1) * hook_count(r - a, rest),
+    so B_r = sum_a C(r - 1, a - 1) * B_{r - a} with B_0 = 1, the binomials
+    taken from Pascal's triangle row by row: O(n^2) integer steps instead of
+    the 2^(n-1) hook counts of the literal sum,
+    :func:`pstab.oracle.bell_hook_sum`, which checks it.
+    """
     if n < 1:
         raise InvalidInputError("n must be at least 1")
-    return sum(hook_count(n, lam) for lam in compositions(n))
+    bell = [1]
+    row = [1]  # row[i] = C(r - 1, i)
+    for _ in range(n):
+        bell.append(sum(c * b for c, b in zip(row, reversed(bell))))
+        row = [1] + [x + y for x, y in zip(row, row[1:])] + [1]
+    return bell[n]
 
 
 def ps_project(t: Tableau, alphabet: Sequence[int] | None = None) -> Tableau:

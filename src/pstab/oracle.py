@@ -22,10 +22,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .correspondence import is_stable_pair, occurrences, rsk, rsk_inverse
 from .counting import (
+    Count,
     _check_shape,
     _normalize_evaluation,
     bell_hook,
     bell_rowsum,
+    bracket_lps,
+    bracket_rps,
     compositions,
     count_rps,
     fiber_size,
@@ -231,14 +234,17 @@ def count_tableaux_bruteforce(ev: Sequence[int], mode: Mode, max_total: int = 10
     return len({ps_insert(w, mode) for w in words_with_evaluation(ev)})
 
 
-def count_set_partitions(n: int) -> int:
+def count_set_partitions(n: int, max_n: int = 12) -> int:
     """Number of partitions of an n-element set, by direct enumeration.
 
     Walks every restricted-growth assignment (element i joins one of the
     existing blocks or opens a new one), so each partition is visited once.
+    That is B_n leaves, so ``n`` above ``max_n`` is refused up front.
     """
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
+    if n > max_n:
+        raise BudgetExceededError(f"n={n} exceeds the set-partition budget of {max_n}")
 
     def rec(i: int, blocks: int) -> int:
         if i == n:
@@ -249,6 +255,57 @@ def count_set_partitions(n: int) -> int:
         return total
 
     return rec(0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the paper's literal counting sums, exponential in the evaluation; the
+# dynamic programs in pstab.counting must agree with them
+
+
+def bracket_sum_lps(m: Iterable[int]) -> Count:
+    """lPS count as :func:`bracket_lps` summed over every bottom row
+    0 <= j_a <= m_a: prod(m_a + 1) brackets."""
+    ev = _normalize_evaluation(m)
+    return sum(bracket_lps(ev, j) for j in product(*(range(x + 1) for x in ev[1:])))
+
+
+def bracket_sum_rps(m: Iterable[int]) -> Count:
+    """rPS count as :func:`bracket_rps` (lead 0) summed over every 0-1 bottom
+    row: 2^(n-1) brackets."""
+    ev = _normalize_evaluation(m)
+    return sum(bracket_rps(ev[1:], 0, j) for j in product((0, 1), repeat=len(ev) - 1))
+
+
+_BRACKET_SUMS: dict[str, Callable[[Iterable[int]], Count]] = {
+    "lps": bracket_sum_lps,
+    "rps": bracket_sum_rps,
+}
+
+
+def bell_rowsum_terms(n: int) -> list[Count]:
+    """Terms of the 0-1 bottom-row expansion of the n-th Bell number.
+
+    One term per tuple (p_2, ..., p_n) in {0,1}^(n-1), in lexicographic
+    order: the product over a = 2..n-1 of (1 + p_2 + ... + p_a)^(1 - p_{a+1}).
+    """
+    if n < 1:
+        raise InvalidInputError("n must be at least 1")
+    terms = []
+    for p in product((0, 1), repeat=n - 1):
+        term = 1
+        acc = 1
+        for a in range(n - 2):
+            acc += p[a]
+            if p[a + 1] == 0:
+                term *= acc
+        terms.append(term)
+    return terms
+
+
+def bell_hook_sum(n: int) -> Count:
+    """n-th Bell number as :func:`hook_count` summed over all 2^(n-1)
+    compositions of ``n``."""
+    return sum(hook_count(n, lam) for lam in compositions(n))
 
 
 def _ps_insert_linear(word: Iterable, mode: Mode) -> Tableau:
@@ -545,7 +602,7 @@ def _relabeling_invariance(sigma: Word) -> Iterator[str]:
 
 def _closed_form_is_recursion(ev: tuple[int, ...]) -> Iterator[str]:
     for mode, spec in MODE_SPECS.items():
-        if spec.count(ev) != spec.count_rec(ev):
+        if not spec.count(ev) == spec.count_rec(ev) == _BRACKET_SUMS[mode](ev):
             yield f"{mode} ev={ev}"
 
 
@@ -628,10 +685,10 @@ def _non_member_rejected() -> tuple[str, str]:
 def _count_vs_bruteforce(mode: Mode, max_total: int, ev: tuple[int, ...]) -> tuple[int, str]:
     spec = MODE_SPECS[mode]
     formula = spec.count(ev)
-    recursive = spec.count_rec(ev)
+    routes = {"recursion": spec.count_rec(ev), "bracket sum": _BRACKET_SUMS[mode](ev)}
     brute = count_tableaux_bruteforce(ev, mode, max_total=max_total)
-    observed = str(brute) if formula == recursive else f"{brute} (recursion gave {recursive})"
-    return formula, observed
+    wrong = [f"{name} gave {value}" for name, value in routes.items() if value != formula]
+    return formula, f"{brute} ({', '.join(wrong)})" if wrong else str(brute)
 
 
 def _bell_routes(n: int) -> tuple[int, str]:
@@ -639,8 +696,10 @@ def _bell_routes(n: int) -> tuple[int, str]:
     formula = bell_rowsum(n)
     pieces = {
         "hook": bell_hook(n),
+        "rowsum terms": sum(bell_rowsum_terms(n)),
+        "hook terms": bell_hook_sum(n),
         **{mode: spec.count(ones) for mode, spec in MODE_SPECS.items()},
-        "partitions": count_set_partitions(n),
+        "partitions": count_set_partitions(n, max_n=n),
     }
     mismatches = [k for k, v in pieces.items() if v != formula]
     return formula, str(pieces["partitions"]) if not mismatches else f"mismatch in {mismatches}"
@@ -783,9 +842,10 @@ def _case_table(max_n: int, b: Budgets) -> Iterator[_Entry]:
     yield case("closed form equals recursion",
                f"evaluations with sum <= {b.rec_eval_sum}, <= {b.rec_eval_symbols} symbols",
                _closed_form_is_recursion, partial(_positive_evaluations, b.rec_eval_sum, b.rec_eval_symbols))
-    small_evaluations = partial(_positive_evaluations, min(b.eval_sum, 6), 3)
+    small_sum = min(b.eval_sum, 6)
+    small_evaluations = partial(_positive_evaluations, small_sum, 3)
     yield case("counts ignore zero entries", "padded evaluations", _zero_entries_ignored, small_evaluations)
-    yield case("rps count ignores the first entry", "tails with sum <= 6",
+    yield case("rps count ignores the first entry", f"tails with sum <= {small_sum}",
                _rps_first_entry_ignored, small_evaluations)
     for n in range(1, max_n + 1):
         yield case("Bell number, all four routes", f"n={n}", partial(_bell_routes, n))
@@ -797,7 +857,7 @@ def _case_table(max_n: int, b: Budgets) -> Iterator[_Entry]:
                    partial(_stirling_by_columns, n), partial(_hook_counts_by_columns, n))
     for n in range(1, formula_n + 1):
         yield case("factorial bounded by sum of squared hook counts", f"n={n}", partial(_factorial_bound, n))
-    yield case("bottom row length within its bounds", "evaluations with sum <= 6",
+    yield case("bottom row length within its bounds", f"evaluations with sum <= {small_sum}",
                _bottom_row_bounds, small_evaluations)
     for n in range(1, max_n + 1):
         for lam in compositions(n):

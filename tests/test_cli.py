@@ -1,9 +1,12 @@
 import json
 import re
+import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
+from pstab import count_lps_rec
 from pstab.cli import main
 
 GOLDEN_ASCII = (
@@ -109,6 +112,33 @@ def test_count_bell_hook_outputs(capsys):
     assert run(capsys, "bell", "4", "--method", "hook") == (0, "15", "")
     assert run(capsys, "bell", "4", "--method", "oracle") == (0, "15", "")
     assert run(capsys, "hook", "--n", "4", "--shape", "3,1") == (0, "3", "")
+
+
+def test_counts_far_beyond_the_literal_sums(capsys):
+    # 2^39 terms and 61^4 brackets as the paper writes them; polynomial DPs here
+    bell_40 = "157450588391204931289324344702531067"
+    assert run(capsys, "bell", "40") == (0, bell_40, "")
+    assert run(capsys, "bell", "40", "--method", "hook") == (0, bell_40, "")
+    expected = str(count_lps_rec((60,) * 5))
+    assert run(capsys, "count", "--mode", "lps", "60,60,60,60,60") == (0, expected, "")
+
+
+def test_counts_print_in_full_beyond_the_digit_limit(capsys):
+    # C(15999, 7999) has 4815 digits, more than int-to-str converts by default
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run(capsys, "hook", "--n", "16000", "--shape", "8000,8000")
+    assert (code, err) == (0, "")
+    value = comb(15999, 7999)
+    assert out[:40] == str(value // 10 ** (len(out) - 40))
+    assert out[-40:] == str(value % 10**40).zfill(40)
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit  # restored
+
+
+def test_bell_oracle_refuses_large_n(capsys):
+    code, out, err = run(capsys, "bell", "13", "--method", "oracle")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+    assert run(capsys, "bell", "13") == (0, "27644437", "")
 
 
 def test_parse_errors_exit_2(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from pstab import (
     InvalidInputError,
+    bell_hook_sum,
     Tableau,
     bell_hook,
     bell_rowsum,
@@ -13,12 +14,15 @@ from pstab import (
     binomial,
     bracket_lps,
     bracket_rps,
+    bracket_sum_lps,
+    bracket_sum_rps,
     classify,
     compositions,
     count_lps,
     count_lps_rec,
     count_rps,
     count_rps_rec,
+    count_set_partitions,
     fiber_size,
     hook_count,
     parse_evaluation,
@@ -88,6 +92,23 @@ def test_closed_form_equals_recursion(ev):
     assert count_rps(ev) == count_rps_rec(ev)
 
 
+def test_dp_counts_equal_literal_sums_and_recursions():
+    # every evaluation with at most 5 entries, each at most 4
+    for size in range(1, 6):
+        for ev in product(range(1, 5), repeat=size):
+            assert count_lps(ev) == bracket_sum_lps(ev) == count_lps_rec(ev), ev
+            assert count_rps(ev) == bracket_sum_rps(ev) == count_rps_rec(ev), ev
+
+
+def test_dp_counts_at_scale_match_recursion_and_invariances():
+    big = (60,) * 5
+    assert count_lps(big) == count_lps_rec(big)
+    assert count_lps(big[:2] + (0, 0) + big[2:] + (0,)) == count_lps(big)
+    assert count_rps((0,) + big + (0,)) == count_rps(big)
+    tail = (7, 1, 30, 2, 5, 9, 1, 4, 3, 2, 6, 1, 1, 8)
+    assert count_rps((1,) + tail) == count_rps((1000,) + tail) == count_rps_rec((5,) + tail)
+
+
 @given(evaluations, st.integers(min_value=0, max_value=4))
 def test_counts_ignore_zero_entries(ev, pos):
     padded = ev[: pos % (len(ev) + 1)] + (0,) + ev[pos % (len(ev) + 1) :]
@@ -125,6 +146,24 @@ def test_bell_known_prefix():
     known = [1, 2, 5, 15, 52, 203, 877, 4140]
     assert [bell_rowsum(n) for n in range(1, 9)] == known
     assert [bell_hook(n) for n in range(1, 9)] == known
+
+
+def test_bell_routes_agree_with_literal_sums():
+    for n in range(1, 15):
+        value = bell_rowsum(n)
+        assert value == bell_hook(n) == sum(bell_rowsum_terms(n)) == bell_hook_sum(n), n
+        if n <= 10:
+            assert value == count_set_partitions(n)
+
+
+def test_bell_dps_at_scale_match_the_bell_triangle():
+    row = [1]  # row k of the triangle ends with B_{k+1}
+    for _ in range(199):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    assert bell_rowsum(200) == bell_hook(200) == row[-1]
 
 
 def test_stirling_examples():

@@ -116,6 +116,15 @@ def test_count_set_partitions_prefix():
         count_set_partitions(-1)
 
 
+def test_count_set_partitions_refuses_n_above_its_budget():
+    # the enumeration visits B_n leaves; the default budget of 12 is about a second
+    with pytest.raises(BudgetExceededError):
+        count_set_partitions(13)
+    with pytest.raises(BudgetExceededError):
+        count_set_partitions(6, max_n=5)
+    assert count_set_partitions(6, max_n=6) == 203
+
+
 def test_linear_reference_matches_bisect_insertion():
     for mode in ("lps", "rps"):
         for length in range(5):
