@@ -58,6 +58,7 @@ from .oracle import (
     enumerate_pstab,
     fiber_bruteforce,
     fiber_census,
+    is_stable_pair_scan,
     verify_suite,
     words_with_evaluation,
 )

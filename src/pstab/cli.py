@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .correspondence import rsk, rsk_inverse
 from .counting import bell_hook, bell_rowsum, hook_count, parse_evaluation, parse_shape
@@ -24,13 +24,8 @@ from .tableaux import (
     render_ascii,
     render_latex,
     tableau_from_json,
-    tableau_to_json,
 )
-from .words import format_word, parse_word
-
-
-def _pair_to_json(pair: TableauPair) -> dict:
-    return {"p": tableau_to_json(pair.p), "q": tableau_to_json(pair.q)}
+from .words import StandardizedSymbol, Symbol, format_word, parse_word
 
 
 def _pair_from_json(obj: dict) -> TableauPair:
@@ -51,9 +46,31 @@ def _side_by_side(left: str, right: str, gap: str = "   ") -> str:
     )
 
 
+def _json_list(items: Iterable[str], depth: int) -> str:
+    """A JSON array of rendered items laid out as ``json.dumps(indent=2)``
+    lays it out when it opens at nesting ``depth``."""
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join(items)
+    return "[" + inner + body + "\n" + "  " * depth + "]" if body else "[]"
+
+
+def _json_column(col: tuple[Symbol, ...], depth: int) -> str:
+    # a tableau never mixes kinds; a standardized symbol is a [base, index] array
+    if isinstance(col[0], StandardizedSymbol):
+        return _json_list((_json_list(map(str, sym), depth + 1) for sym in col), depth)
+    return _json_list(map(str, col), depth)
+
+
+def _pair_json(pair: TableauPair) -> str:
+    """``json.dumps({"p": tableau_to_json(p), "q": tableau_to_json(q)}, indent=2)``,
+    written by joins over the columns instead of through the JSON encoder."""
+    p, q = (_json_list((_json_column(col, 3) for col in t.columns), 2) for t in pair)
+    return f'{{\n  "p": {{\n    "columns": {p}\n  }},\n  "q": {{\n    "columns": {q}\n  }}\n}}'
+
+
 def _render_pair(pair: TableauPair, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(_pair_to_json(pair), indent=2)
+        return _pair_json(pair)
     if fmt == "latex":
         return render_latex(pair.p) + "\n\\quad\n" + render_latex(pair.q)
     left = "P:\n" + render_ascii(pair.p)

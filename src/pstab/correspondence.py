@@ -1,10 +1,13 @@
 """Dashed pattern avoidance, stable-pair membership, and the RSK-style maps.
 
 Insertion maps words (arrays) bijectively onto the same-shape tableau pairs
-whose column readings jointly avoid three pattern pairs; membership in that
-image is what :func:`is_stable_pair` decides.  :func:`rsk` runs the forward
-map, :func:`rsk_inverse` refuses non-members and otherwise recovers the
-unique preimage.
+whose column readings jointly avoid three pattern pairs.  Because it is a
+bijection onto that set, :func:`is_stable_pair` decides membership by round
+trip: a pair is a member exactly when what is extracted from it re-inserts
+to it, which costs about one insertion.  The paper's O(n^2) pattern scan is
+kept in :mod:`pstab.oracle` as the reference the verify suite compares with.
+:func:`rsk` runs the forward map, :func:`rsk_inverse` refuses non-members
+and otherwise returns that same extraction, the unique preimage.
 """
 
 from __future__ import annotations
@@ -13,19 +16,21 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Literal, Union
 
-from .errors import InvalidInputError, NotInStablePairsError
+from .errors import InvalidInputError, NotInStablePairsError, ReverseInsertionError
 from .insertion import (
     Mode,
+    ModeSpec,
     TableauPair,
     TwoRowedArray,
+    _insert_pairs,
+    _read,
+    _unwind,
     array_insert,
     extended_insert,
     mode_spec,
-    read_by_recording,
-    reverse_insertion,
 )
-from .tableaux import Tableau, classify, column_reading, reverse_columns, standardize_tableau
-from .words import Symbol, Word
+from .tableaux import classify
+from .words import StandardizedSymbol, Symbol, Word
 
 StablePairLevel = Literal["standard", "word", "array"]
 
@@ -100,47 +105,12 @@ def occurrences(word: Iterable[Symbol], pattern: DashedPattern | str) -> list[tu
     return out
 
 
-def _triple_code(a: Symbol, b: Symbol, c: Symbol) -> str | None:
-    """Dashed-pattern name matched by the triple (positions i, i+1, j)."""
-    if b < c < a:
-        return "31-2"
-    if c < b < a:
-        return "32-1"
-    if a < c < b:
-        return "13-2"
-    if c < a < b:
-        return "23-1"
-    return None
+def _checked_spec(pair: TableauPair, mode: Mode, level: str) -> ModeSpec:
+    """The mode's table entry, once ``pair`` has the kinds ``level`` requires.
 
-
-_FORBIDDEN = {("31-2", "13-2"), ("31-2", "23-1"), ("32-1", "13-2")}
-
-
-def _avoids_forbidden_pairs(left: Word, right: Word) -> bool:
-    """No triple (i, i+1, j), j > i+1, matches a forbidden pattern pair in both words."""
-    n = len(left)
-    for i in range(n - 2):
-        for j in range(i + 2, n):
-            code_left = _triple_code(left[i], left[i + 1], left[j])
-            if code_left not in ("31-2", "32-1"):
-                continue
-            code_right = _triple_code(right[i], right[i + 1], right[j])
-            if (code_left, code_right) in _FORBIDDEN:
-                return False
-    return True
-
-
-def _standard_stable(r: Tableau, s: Tableau) -> bool:
-    return _avoids_forbidden_pairs(column_reading(r), column_reading(reverse_columns(s)))
-
-
-def is_stable_pair(pair: TableauPair, mode: Mode, level: StablePairLevel) -> bool:
-    """Membership test for the stable pairs set at the requested level.
-
-    * ``standard``: both tableaux standard, tested directly.
-    * ``word``: first tableau of the mode's kind, second a recording tableau;
-      the first is standardized before the standard test.
-    * ``array``: both tableaux of the mode's kind; both are standardized.
+    Classifies each tableau once.  At the word and array levels the checked
+    tableaux must hold plain symbols: the pattern scan that defines these sets
+    standardizes them, and a standardized tableau has no standardization.
     """
     spec = mode_spec(mode)
     p, q = pair
@@ -149,20 +119,56 @@ def is_stable_pair(pair: TableauPair, mode: Mode, level: StablePairLevel) -> boo
     if level == "standard":
         if not (classify(p).is_standard_ps and classify(q).is_standard_ps):
             raise InvalidInputError("standard level requires two standard tableaux")
-        return _standard_stable(p, q)
+        return spec
     if level == "word":
         if not getattr(classify(p), spec.flag):
             raise InvalidInputError(f"first tableau is not an {spec.kind} tableau")
         if not classify(q).is_recording:
             raise InvalidInputError("word level requires a recording tableau")
-        return _standard_stable(standardize_tableau(p, spec.direction), q)
-    if level == "array":
+        plain = (p,)
+    elif level == "array":
         if not (getattr(classify(p), spec.flag) and getattr(classify(q), spec.flag)):
             raise InvalidInputError(f"array level requires two {spec.kind} tableaux")
-        return _standard_stable(
-            standardize_tableau(p, spec.direction), standardize_tableau(q, spec.direction)
-        )
-    raise InvalidInputError(f"level must be one of {LEVELS}, got {level!r}")
+        plain = (p, q)
+    else:
+        raise InvalidInputError(f"level must be one of {LEVELS}, got {level!r}")
+    if any(t and isinstance(t.columns[0][0], StandardizedSymbol) for t in plain):
+        raise InvalidInputError("tableau is already standardized")
+    return spec
+
+
+def _preimage(pair: TableauPair, spec: ModeSpec, level: str) -> Union[Word, TwoRowedArray, None]:
+    """The extraction from a checked pair if it re-inserts to the pair, else None.
+
+    Reads the word by the recording tableau at the word level and unwinds an
+    array otherwise; an array that cannot be unwound, or is not of the mode's
+    kind, has no preimage.
+    """
+    if level == "word":
+        word = _read(pair)
+        return word if _insert_pairs(zip(word, range(1, len(word) + 1)), spec) == pair else None
+    try:
+        arr = _unwind(pair, spec)
+    except ReverseInsertionError:
+        return None
+    if spec.is_valid_array(arr) and _insert_pairs(zip(arr.bottom, arr.top), spec) == pair:
+        return arr
+    return None
+
+
+def is_stable_pair(pair: TableauPair, mode: Mode, level: StablePairLevel) -> bool:
+    """Membership test for the stable pairs set at the requested level.
+
+    * ``standard``: both tableaux standard.
+    * ``word``: first tableau of the mode's kind, second a recording tableau.
+    * ``array``: both tableaux of the mode's kind.
+
+    Insertion is a bijection onto each stable pairs set, so a pair is a member
+    exactly when its extraction re-inserts to it: by the recording tableau at
+    the word level, by reverse insertion at the array and standard levels.
+    """
+    spec = _checked_spec(pair, mode, level)
+    return _preimage(pair, spec, "word" if level == "word" else "array") is not None
 
 
 def rsk(value: Union[TwoRowedArray, Iterable[Symbol]], mode: Mode) -> TableauPair:
@@ -187,10 +193,9 @@ def rsk_inverse(
     """
     if level not in ("word", "array"):
         raise InvalidInputError(f"level must be 'word' or 'array', got {level!r}")
-    if not is_stable_pair(pair, mode, level):
+    value = _preimage(pair, _checked_spec(pair, mode, level), level)
+    if value is None:
         raise NotInStablePairsError(
             f"pair is not in the {level}-level {mode} stable pairs set"
         )
-    if level == "word":
-        return read_by_recording(pair)
-    return reverse_insertion(pair, mode)
+    return value

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
 from .counting import count_lps, count_lps_rec, count_rps, count_rps_rec
 from .errors import InvalidInputError, ReverseInsertionError
-from .tableaux import Tableau, classify, reverse_columns
+from .tableaux import Tableau, classify
 from .words import Direction, Symbol, Word, check_word, format_word, parse_word
 
 Mode = Literal["lps", "rps"]
@@ -199,35 +200,46 @@ def reverse_insertion(pair: TableauPair, mode: Mode) -> TwoRowedArray:
     it the extracted array simply inserts to a different pair.
     """
     spec = mode_spec(mode)
-    if pair.p.shape != pair.q.shape:
-        raise InvalidInputError(f"tableau shapes differ: {pair.p.shape} vs {pair.q.shape}")
-    for name, t in (("first", pair.p), ("second", pair.q)):
+    p, q = pair
+    if p.shape != q.shape:
+        raise InvalidInputError(f"tableau shapes differ: {p.shape} vs {q.shape}")
+    for name, t in (("first", p), ("second", q)):
         if not getattr(classify(t), spec.flag):
             raise InvalidInputError(f"{name} tableau is not an {spec.kind} tableau")
-    p_cols = [list(col) for col in pair.p.columns]
-    q_cols = [list(col) for col in pair.q.columns]
-    extracted: list[tuple[Symbol, Symbol]] = []
-    total = sum(len(col) for col in q_cols)
-    for step in range(total, 0, -1):
-        largest = max(col[-1] for col in q_cols)  # columns increase upward
-        tops = [idx for idx, col in enumerate(q_cols) if col[-1] == largest]
-        if not tops:
-            raise ReverseInsertionError(f"largest symbol {largest!r} tops no column", step=step)
-        j = tops[-1] if spec.pick_last_top else tops[0]
-        u = q_cols[j].pop()
-        v = p_cols[j].pop(0)
-        if not q_cols[j]:
-            if j != len(q_cols) - 1:
-                raise ReverseInsertionError(
-                    "removal emptied a column left of the last one", step=step, column=j + 1
-                )
-            del q_cols[j]
-            del p_cols[j]
-        extracted.append((u, v))
-    extracted.reverse()
-    return TwoRowedArray(
-        top=tuple(u for u, _ in extracted), bottom=tuple(v for _, v in extracted)
-    )
+    return _unwind(pair, spec)
+
+
+def _unwind(pair: TableauPair, spec: ModeSpec) -> TwoRowedArray:
+    """:func:`reverse_insertion` of a same-shape pair whose kinds are checked.
+
+    A heap holds each column's top label, keyed by the label's rank and then
+    by the column index (negated when the last column topped by the largest
+    label is taken), so a step costs O(log n) instead of a scan of every top.
+    """
+    p, q = pair
+    q_cols = [list(col) for col in q.columns]
+    p_cols = [list(reversed(col)) for col in p.columns]  # top-first: a removal is a pop()
+    rank = {label: r for r, label in enumerate(sorted({label for col in q_cols for label in col}))}
+    side = -1 if spec.pick_last_top else 1
+    heap = [(-rank[col[-1]], side * j) for j, col in enumerate(q_cols)]
+    heapify(heap)
+    last = len(q_cols) - 1
+    top: list[Symbol] = []
+    bottom: list[Symbol] = []
+    for step in range(len(q), 0, -1):
+        key = heappop(heap)[1]
+        j = side * key
+        top.append(q_cols[j].pop())
+        bottom.append(p_cols[j].pop())
+        if q_cols[j]:
+            heappush(heap, (-rank[q_cols[j][-1]], key))
+        elif j != last:
+            raise ReverseInsertionError(
+                "removal emptied a column left of the last one", step=step, column=j + 1
+            )
+        else:
+            last -= 1
+    return TwoRowedArray(top=top[::-1], bottom=bottom[::-1])
 
 
 def read_by_recording(pair: TableauPair) -> Word:
@@ -243,9 +255,15 @@ def read_by_recording(pair: TableauPair) -> Word:
         raise InvalidInputError(f"tableau shapes differ: {p.shape} vs {q.shape}")
     if not classify(q).is_recording:
         raise InvalidInputError("second tableau is not a recording tableau")
-    flipped = reverse_columns(q)
-    position: dict[int, tuple[int, int]] = {}
-    for j, col in enumerate(flipped.columns):
-        for r, sym in enumerate(col):
-            position[sym] = (j, r)
-    return tuple(p.columns[position[i][0]][position[i][1]] for i in range(1, len(p) + 1))
+    return _read(pair)
+
+
+def _read(pair: TableauPair) -> Word:
+    """:func:`read_by_recording` of a same-shape pair whose second tableau is
+    a checked recording tableau."""
+    p, q = pair
+    word: list[Symbol] = [0] * len(q)
+    for p_col, q_col in zip(p.columns, q.columns):
+        for sym, label in zip(reversed(p_col), q_col):
+            word[label - 1] = sym
+    return tuple(word)

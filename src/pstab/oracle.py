@@ -20,7 +20,7 @@ from math import factorial
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .correspondence import is_stable_pair, occurrences, rsk, rsk_inverse
+from .correspondence import StablePairLevel, _checked_spec, is_stable_pair, occurrences, rsk, rsk_inverse
 from .counting import (
     Count,
     _check_shape,
@@ -53,11 +53,12 @@ from .tableaux import (
     Shape,
     Tableau,
     classify,
+    column_reading,
     destandardize_tableau,
     reverse_columns,
     standardize_tableau,
 )
-from .words import Word, check_word, destandardize, evaluation, format_word, standardize
+from .words import Symbol, Word, check_word, destandardize, evaluation, format_word, standardize
 
 # ---------------------------------------------------------------------------
 # enumerators
@@ -326,6 +327,62 @@ def _ps_insert_linear(word: Iterable, mode: Mode) -> Tableau:
 
 
 # ---------------------------------------------------------------------------
+# the paper's forbidden-pattern scan for stable pairs, O(n^2); the round-trip
+# membership test in pstab.correspondence must agree with it
+
+
+def _triple_code(a: Symbol, b: Symbol, c: Symbol) -> str | None:
+    """Dashed-pattern name matched by the triple (positions i, i+1, j)."""
+    if b < c < a:
+        return "31-2"
+    if c < b < a:
+        return "32-1"
+    if a < c < b:
+        return "13-2"
+    if c < a < b:
+        return "23-1"
+    return None
+
+
+_FORBIDDEN = {("31-2", "13-2"), ("31-2", "23-1"), ("32-1", "13-2")}
+
+
+def _avoids_forbidden_pairs(left: Word, right: Word) -> bool:
+    """No triple (i, i+1, j), j > i+1, matches a forbidden pattern pair in both words."""
+    n = len(left)
+    for i in range(n - 2):
+        for j in range(i + 2, n):
+            code_left = _triple_code(left[i], left[i + 1], left[j])
+            if code_left not in ("31-2", "32-1"):
+                continue
+            code_right = _triple_code(right[i], right[i + 1], right[j])
+            if (code_left, code_right) in _FORBIDDEN:
+                return False
+    return True
+
+
+def _standard_stable(r: Tableau, s: Tableau) -> bool:
+    return _avoids_forbidden_pairs(column_reading(r), column_reading(reverse_columns(s)))
+
+
+def is_stable_pair_scan(pair: TableauPair, mode: Mode, level: StablePairLevel) -> bool:
+    """Stable-pair membership by the paper's definition, a pattern scan.
+
+    Takes the same input as :func:`pstab.correspondence.is_stable_pair` and
+    checks it the same way.  Standard pairs are scanned as they are; at the
+    word level the first tableau is standardized in the mode's direction, and
+    at the array level both are.
+    """
+    direction = _checked_spec(pair, mode, level).direction
+    p, q = pair
+    if level != "standard":
+        p = standardize_tableau(p, direction)
+    if level == "array":
+        q = standardize_tableau(q, direction)
+    return _standard_stable(p, q)
+
+
+# ---------------------------------------------------------------------------
 # verification report
 
 
@@ -543,37 +600,47 @@ def _rsk_roundtrip(mode: Mode, level: str, value: Word | TwoRowedArray) -> Itera
         yield f"{label}: inverse mismatch"
 
 
+def _check_stable_set(
+    mode: Mode, level: StablePairLevel, candidates: Iterable[TableauPair], image: set[TableauPair]
+) -> tuple[int, list[str]]:
+    # members by round trip, and what is wrong: membership is tested once per
+    # pair and method (round trip, pattern scan), and both must give the image
+    by_trip: set[TableauPair] = set()
+    by_scan: set[TableauPair] = set()
+    for pair in candidates:
+        if is_stable_pair(pair, mode, level):
+            by_trip.add(pair)
+        if is_stable_pair_scan(pair, mode, level):
+            by_scan.add(pair)
+    problems = []
+    if by_trip != by_scan:
+        problems.append(f"round trip and pattern scan disagree on {len(by_trip ^ by_scan)} pairs")
+    if by_trip != image:
+        problems.append("stable set differs from insertion image")
+    return len(by_trip), problems
+
+
 def _word_stable_set(mode: Mode, alphabet_size: int, boxes: int) -> Iterator[str]:
-    image_pairs = {rsk(w, mode) for w in words_over(alphabet_size, boxes)}
     recording = {
         lam: enumerate_pstab(tuple(range(1, boxes + 1)), lam, method="direct")
         for lam in compositions(boxes)
     }
-    candidates = []
-    for p in mode_tableaux(alphabet_size, boxes, mode):
-        for q in recording[p.shape]:
-            pair = TableauPair(p, q)
-            if is_stable_pair(pair, mode, "word"):
-                candidates.append(pair)
-    if set(candidates) != image_pairs or len(candidates) != len(image_pairs):
-        yield f"{boxes} boxes: stable set differs from insertion image"
+    candidates = (
+        TableauPair(p, q) for p in mode_tableaux(alphabet_size, boxes, mode) for q in recording[p.shape]
+    )
+    image = {rsk(w, mode) for w in words_over(alphabet_size, boxes)}
+    for problem in _check_stable_set(mode, "word", candidates, image)[1]:
+        yield f"{boxes} boxes: {problem}"
 
 
 def _array_stable_set(mode: Mode, alphabet_size: int, boxes: int) -> Iterator[str]:
     by_shape: dict[Shape, list[Tableau]] = {}
     for t in mode_tableaux(alphabet_size, boxes, mode):
         by_shape.setdefault(t.shape, []).append(t)
-    members = set()
-    for group in by_shape.values():
-        for p in group:
-            for q in group:
-                pair = TableauPair(p, q)
-                if is_stable_pair(pair, mode, "array"):
-                    members.add(pair)
-                    if rsk(rsk_inverse(pair, mode, "array"), mode) != pair:
-                        yield f"{boxes} boxes: pair does not round-trip"
-    if members != {rsk(arr, mode) for arr in arrays_over(alphabet_size, boxes, mode)}:
-        yield f"{boxes} boxes: stable set differs from insertion image"
+    candidates = (TableauPair(p, q) for group in by_shape.values() for p in group for q in group)
+    image = {rsk(arr, mode) for arr in arrays_over(alphabet_size, boxes, mode)}
+    for problem in _check_stable_set(mode, "array", candidates, image)[1]:
+        yield f"{boxes} boxes: {problem}"
 
 
 def _array_standardization_laws(mode: Mode, arr: TwoRowedArray) -> Iterator[str]:
@@ -664,19 +731,22 @@ def _projection_laws(item: tuple[int, Shape, Tableau]) -> Iterator[str]:
 
 def _standard_stable_pairs(n: int) -> tuple[str, str]:
     image = {extended_insert(sigma, "lps"): sigma for sigma in permutations(range(1, n + 1))}
-    members = [pair for pair in _standard_pairs_over(n) if is_stable_pair(pair, "lps", "standard")]
     problems: list[str] = []
     if len(image) != factorial(n):
         problems.append(f"insertion not injective on {n}!")
-    if set(members) != set(image):
-        problems.append("stable pairs differ from the insertion image")
-    observed = f"{len(members)} stable pairs" + ("" if not problems else "; " + problems[0])
+    members, found = _check_stable_set("lps", "standard", _standard_pairs_over(n), set(image))
+    problems += found
+    observed = f"{members} stable pairs" + ("" if not problems else "; " + problems[0])
     return f"{factorial(n)} stable pairs", observed
 
 
 def _non_member_rejected() -> tuple[str, str]:
     bad_pair = TableauPair(Tableau([[1, 2, 3], [1]]), Tableau([[1, 3, 4], [2]]))
-    rejected = not any(is_stable_pair(bad_pair, "lps", level) for level in ("word", "array"))
+    rejected = not any(
+        test(bad_pair, "lps", level)
+        for test in (is_stable_pair, is_stable_pair_scan)
+        for level in ("word", "array")
+    )
     diverges = extended_insert(read_by_recording(bad_pair), "lps") != bad_pair
     observed = f"{'rejected' if rejected else 'accepted'}, {'diverges' if diverges else 'reinserts'}"
     return "rejected, diverges", observed

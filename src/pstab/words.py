@@ -43,6 +43,8 @@ def check_word(syms: Iterable[Any], kind: type | None = None) -> Word:
     ``kind`` (``int`` or :class:`StandardizedSymbol`) narrows it to one.
     """
     out = tuple(syms)
+    if kind in (None, int) and set(map(type, out)) == {int} and min(out) >= 1:
+        return out  # the common plain word, accepted without the per-entry loop
     want = kind
     for sym in out:
         got = StandardizedSymbol if isinstance(sym, StandardizedSymbol) else int

@@ -5,6 +5,7 @@ Each test prints a single PASS line with its runtime (visible under
 calls themselves.
 """
 
+import random
 import time
 from itertools import permutations
 from math import factorial
@@ -245,3 +246,22 @@ def test_criterion_10_counting_bounds():
         assert hits == 2 < hook_count(4, (2, 2)) == 3
         assert strict_seen
     report(10, "factorial and fiber bounds with a strict witness", clock.seconds, "1 min")
+
+
+def test_criterion_11_membership_at_scale():
+    # members of 10^4 boxes at the word and array levels; the pattern scan
+    # would take about 30 s on these, the round trip takes milliseconds
+    rng = random.Random(11)
+    n = 10_000
+    cases = []
+    for mode in MODES:
+        word = tuple(rng.randint(1, 100) for _ in range(n))
+        cells = sorted((rng.randint(1, 1000), rng.randint(1, 100)) for _ in range(n))
+        if mode == "rps":
+            cells.sort(key=lambda tb: (tb[0], -tb[1]))
+        arr = TwoRowedArray(tuple(t for t, _ in cells), tuple(b for _, b in cells))
+        cases += [(rsk(word, mode), mode, "word", word), (rsk(arr, mode), mode, "array", arr)]
+    with Stopwatch() as clock:
+        for pair, mode, level, value in cases:
+            assert rsk_inverse(pair, mode, level) == value
+    report(11, "rsk_inverse on four 10^4-box members, both modes and levels", clock.seconds, "1 s")

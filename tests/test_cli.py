@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from pstab import count_lps_rec
-from pstab.cli import main
+from pstab import count_lps_rec, extended_insert, standardize, tableau_to_json
+from pstab.cli import _render_pair, main
 
 GOLDEN_ASCII = (
     "P:      Q:\n"
@@ -93,6 +93,29 @@ def test_unrsk_rejects_non_members_with_exit_3(capsys):
     code, out, err = run(capsys, "unrsk", "--mode", "lps", pair)
     assert code == 3
     assert "stable pairs set" in err
+
+
+@pytest.mark.parametrize("mode", ["lps", "rps"])
+@pytest.mark.parametrize("word", [(), (5,), (4, 6, 2, 3, 2, 1, 4), (2, 2, 2, 1, 1, 3), (12, 1, 100, 7, 7)])
+def test_json_pair_matches_the_json_encoder(mode, word):
+    for symbols in (word, standardize(word, "left"), standardize(word, "right")):
+        pair = extended_insert(symbols, mode)
+        expected = json.dumps({"p": tableau_to_json(pair.p), "q": tableau_to_json(pair.q)}, indent=2)
+        assert _render_pair(pair, "json") == expected
+
+
+def test_unrsk_exit_codes_by_input(capsys):
+    # a non-member at both levels exits 3; standardized or malformed input exits 2
+    non_member = json.dumps({"p": {"columns": [[1, 2, 3], [1]]}, "q": {"columns": [[1, 3, 4], [2]]}})
+    for level in ("word", "array", "auto"):
+        assert run(capsys, "unrsk", "--mode", "lps", "--level", level, non_member)[0] == 3
+    standardized = json.dumps({"p": {"columns": [[[1, 1]]]}, "q": {"columns": [[1]]}})
+    unordered = json.dumps({"p": {"columns": [[2, 1]]}, "q": {"columns": [[1, 2]]}})
+    for pair in (standardized, unordered):
+        for mode in ("lps", "rps"):
+            for level in ("word", "array"):
+                code, out, err = run(capsys, "unrsk", "--mode", mode, "--level", level, pair)
+                assert (code, out) == (2, "") and err.startswith("error:")
 
 
 def test_unrsk_level_flag(capsys):

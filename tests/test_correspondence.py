@@ -1,7 +1,8 @@
+import random
 from itertools import permutations
 from math import factorial
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from pstab import (
@@ -11,6 +12,7 @@ from pstab import (
     Tableau,
     TableauPair,
     TwoRowedArray,
+    classify,
     extended_insert,
     is_stable_pair,
     occurrences,
@@ -18,8 +20,9 @@ from pstab import (
     rsk_inverse,
     standardize,
 )
-from pstab.oracle import enumerate_pstab
+from pstab.oracle import enumerate_pstab, is_stable_pair_scan, mode_tableaux
 from pstab.counting import compositions
+from pstab.insertion import mode_spec
 
 GOLDEN_PAIR = TableauPair(Tableau([[1, 2, 4], [2, 3, 6], [4]]), Tableau([[1, 3, 6], [2, 4, 5], [7]]))
 GOLDEN_ARRAY = TwoRowedArray(top=(1, 1, 2, 3, 3, 3, 4), bottom=(3, 4, 2, 1, 1, 2, 3))
@@ -93,7 +96,7 @@ def test_pattern_constructor_rejects_empty_blocks():
 
 
 def test_triple_classifier_names_all_dashed_shapes():
-    from pstab.correspondence import _triple_code
+    from pstab.oracle import _triple_code
 
     assert _triple_code(3, 1, 2) == "31-2"
     assert _triple_code(3, 2, 1) == "32-1"
@@ -187,3 +190,79 @@ def test_standard_level_bijection_small(n):
 def test_word_roundtrip(word, mode):
     pair = rsk(word, mode)
     assert rsk_inverse(pair, mode, "word") == word
+
+
+@pytest.mark.parametrize("mode", ["lps", "rps"])
+def test_round_trip_agrees_with_the_scan_on_every_small_pair(mode):
+    # every same-shape pair of tableaux over A_3 with at most 4 boxes, at the
+    # array level, and every pair with a recording tableau at the word level
+    checked = members = 0
+    for boxes in range(5):
+        tabs = mode_tableaux(3, boxes, mode)
+        recording = [t for t in mode_tableaux(boxes, boxes, mode) if classify(t).is_recording]
+        for level, partners in (("array", tabs), ("word", recording)):
+            for p in tabs:
+                for q in partners:
+                    if p.shape == q.shape:
+                        pair = TableauPair(p, q)
+                        member = is_stable_pair(pair, mode, level)
+                        assert member == is_stable_pair_scan(pair, mode, level), (pair, level)
+                        checked += 1
+                        members += member
+    assert 0 < members < checked
+
+
+def _random_array(rng, n, mode):
+    # top weakly increasing; bottom sorted within runs of equal top entries,
+    # up (l-array) in lps mode and down (r-array) in rps mode
+    cells = sorted((rng.randint(1, n // 3), rng.randint(1, 6)) for _ in range(n))
+    if mode == "rps":
+        cells.sort(key=lambda tb: (tb[0], -tb[1]))
+    return TwoRowedArray(tuple(t for t, _ in cells), tuple(b for _, b in cells))
+
+
+def _swap_labels(rng, pair, kind):
+    """q with two labels swapped, still a tableau of ``kind``; None if no try gave one."""
+    cols = [list(col) for col in pair.q.columns]
+    boxes = [(j, r) for j, col in enumerate(cols) for r in range(len(col))]
+    for _ in range(50):
+        (j1, r1), (j2, r2) = rng.sample(boxes, 2)
+        if cols[j1][r1] == cols[j2][r2]:
+            continue
+        swapped = [list(col) for col in cols]
+        swapped[j1][r1], swapped[j2][r2] = cols[j2][r2], cols[j1][r1]
+        q = Tableau(swapped)
+        if getattr(classify(q), kind):
+            return TableauPair(pair.p, q)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(20, 60), modes, st.sampled_from(["word", "array"]), st.randoms(use_true_random=False))
+def test_round_trip_agrees_with_the_scan_at_scale(n, mode, level, rng):
+    if level == "word":
+        member = rsk(tuple(rng.randint(1, 8) for _ in range(n)), mode)
+        kind = "is_recording"
+    else:
+        member = rsk(_random_array(rng, n, mode), mode)
+        kind = mode_spec(mode).flag
+    assert is_stable_pair(member, mode, level) and is_stable_pair_scan(member, mode, level)
+    for _ in range(3):
+        other = _swap_labels(rng, member, kind)
+        if other is not None:
+            assert is_stable_pair(other, mode, level) == is_stable_pair_scan(other, mode, level)
+
+
+def test_label_swaps_reach_non_members():
+    rng = random.Random(7)
+    rejected = 0
+    for mode in ("lps", "rps"):
+        member = rsk(tuple(rng.randint(1, 8) for _ in range(40)), mode)
+        for _ in range(20):
+            other = _swap_labels(rng, member, "is_recording")
+            if other is not None and not is_stable_pair(other, mode, "word"):
+                assert not is_stable_pair_scan(other, mode, "word")
+                with pytest.raises(NotInStablePairsError):
+                    rsk_inverse(other, mode, "word")
+                rejected += 1
+    assert rejected > 0

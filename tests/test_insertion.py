@@ -208,6 +208,46 @@ def test_reverse_insertion_of_non_member_pairs_is_mechanical():
     assert array_insert(out, "lps") != TableauPair(x, Tableau([[1, 3, 4], [2]]))
 
 
+def _reverse_insertion_by_scan(pair, mode):
+    # the O(n^2) loop: each step scans every column top for the largest label
+    p_cols = [list(col) for col in pair.p.columns]
+    q_cols = [list(col) for col in pair.q.columns]
+    extracted = []
+    while q_cols:
+        largest = max(col[-1] for col in q_cols)
+        tops = [j for j, col in enumerate(q_cols) if col[-1] == largest]
+        j = tops[-1] if mode == "lps" else tops[0]
+        extracted.append((q_cols[j].pop(), p_cols[j].pop(0)))
+        if not q_cols[j]:
+            assert j == len(q_cols) - 1, "removal emptied a column left of the last one"
+            del q_cols[j], p_cols[j]
+    extracted.reverse()
+    return TwoRowedArray(tuple(u for u, _ in extracted), tuple(v for _, v in extracted))
+
+
+@pytest.mark.parametrize("mode", ["lps", "rps"])
+def test_reverse_insertion_matches_the_scan_on_every_small_pair(mode):
+    # ties between equal labels included: every same-shape pair over A_3, <= 4 boxes
+    from pstab.oracle import mode_tableaux
+
+    for boxes in range(5):
+        tabs = mode_tableaux(3, boxes, mode)
+        for p in tabs:
+            for q in tabs:
+                if p.shape == q.shape:
+                    pair = TableauPair(p, q)
+                    assert reverse_insertion(pair, mode) == _reverse_insertion_by_scan(pair, mode)
+
+
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=80).map(tuple), modes)
+def test_reverse_insertion_matches_the_scan_on_standardized_pairs(word, mode):
+    # standardized labels have no negation, so the heap must order them by rank
+    direction = "left" if mode == "lps" else "right"
+    p, q = extended_insert(word, mode)
+    pair = TableauPair(standardize_tableau(p, direction), standardize_tableau(q, direction))
+    assert reverse_insertion(pair, mode) == _reverse_insertion_by_scan(pair, mode)
+
+
 def test_reverse_insertion_validates_input():
     with pytest.raises(InvalidInputError):
         reverse_insertion(TableauPair(Tableau([[1]]), Tableau([[1], [2]])), "lps")

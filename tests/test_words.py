@@ -147,3 +147,22 @@ def test_format_parse_roundtrip(word):
 def test_format_parse_roundtrip_standardized(word, direction):
     std = standardize(word, direction)
     assert parse_word(format_word(std)) == std
+
+
+def test_check_word_plain_fast_path_keeps_every_rejection():
+    from pstab.words import check_word
+
+    assert check_word([3, 1, 2]) == (3, 1, 2)
+    assert check_word(iter(range(1, 5)), int) == (1, 2, 3, 4)
+    assert check_word([]) == ()
+    for bad, message in (
+        ([1, True], "not a symbol: True"),
+        ([2, 0], "not a symbol: 0"),
+        ([2, -1], "not a symbol: -1"),
+        ([1.0], "not a symbol: 1.0"),
+        ([1, S(1, 1)], "expected only plain symbols"),
+    ):
+        with pytest.raises(InvalidInputError, match=message):
+            check_word(bad)
+    with pytest.raises(InvalidInputError, match="expected only standardized symbols"):
+        check_word([1, 2], StandardizedSymbol)
