@@ -45,23 +45,6 @@ from .insertion import (
     read_by_recording,
     reverse_insertion,
 )
-from .oracle import (
-    Budgets,
-    CaseResult,
-    VerificationReport,
-    bell_hook_sum,
-    bell_rowsum_terms,
-    bracket_sum_lps,
-    bracket_sum_rps,
-    count_set_partitions,
-    count_tableaux_bruteforce,
-    enumerate_pstab,
-    fiber_bruteforce,
-    fiber_census,
-    is_stable_pair_scan,
-    verify_suite,
-    words_with_evaluation,
-)
 from .tableaux import (
     Shape,
     Tableau,
@@ -91,3 +74,21 @@ from .words import (
 )
 
 __version__ = "0.1.0"
+
+# names served from pstab.oracle on first use, so that importing pstab does not load it
+_ORACLE_NAMES = frozenset("""
+    Budgets CaseResult VerificationReport bell_hook_sum bell_rowsum_terms bracket_sum_lps
+    bracket_sum_rps count_set_partitions count_tableaux_bruteforce enumerate_pstab
+    fiber_bruteforce fiber_census is_stable_pair_scan verify_suite words_with_evaluation
+""".split())
+# a star import names the oracle too, and so loads it
+__all__ = [name for name in globals() if not name.startswith("_")] + sorted(_ORACLE_NAMES)
+
+
+def __getattr__(name: str):
+    # PEP 562: reached only for names not bound above
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

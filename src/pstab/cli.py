@@ -18,7 +18,6 @@ from .correspondence import rsk, rsk_inverse
 from .counting import bell_hook, bell_rowsum, hook_count, parse_evaluation, parse_shape
 from .errors import InvalidInputError, NotInStablePairsError, PSTabError
 from .insertion import TableauPair, TwoRowedArray, extended_insert, mode_spec
-from .oracle import Budgets, count_set_partitions, verify_suite
 from .tableaux import (
     classify,
     render_ascii,
@@ -26,6 +25,9 @@ from .tableaux import (
     tableau_from_json,
 )
 from .words import StandardizedSymbol, Symbol, format_word, parse_word
+
+# pstab.oracle is imported only inside the two commands that run it (verify,
+# bell --method oracle), so that no other request compiles it
 
 
 def _pair_from_json(obj: dict) -> TableauPair:
@@ -81,7 +83,10 @@ def _render_pair(pair: TableauPair, fmt: str) -> str:
 def _read_source(args: argparse.Namespace, positional: str | None) -> str:
     if getattr(args, "file", None):
         with open(args.file, encoding="utf-8") as handle:
-            return handle.read().strip()
+            try:
+                return handle.read().strip()
+            except UnicodeDecodeError as exc:
+                raise InvalidInputError(f"{args.file} is not UTF-8 text: {exc}") from exc
     if positional is None:
         raise InvalidInputError("no input given (pass it as an argument or with --file)")
     return positional
@@ -158,6 +163,8 @@ def _cmd_bell(args: argparse.Namespace) -> int:
     elif args.method == "hook":
         _print_count(bell_hook(args.n))
     else:
+        from .oracle import count_set_partitions
+
         _print_count(count_set_partitions(args.n))
     return 0
 
@@ -169,11 +176,10 @@ def _cmd_hook(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    budgets = Budgets(
-        word_len=args.word_len,
-        array_len=args.array_len,
-        eval_sum=args.eval_sum,
-    )
+    from .oracle import Budgets, verify_suite
+
+    flags = {"word_len": args.word_len, "array_len": args.array_len, "eval_sum": args.eval_sum}
+    budgets = Budgets(**{name: value for name, value in flags.items() if value is not None})
     report = verify_suite(max_n=args.max_n, budgets=budgets, jobs=args.jobs)
     print(report.to_json() if args.json else report.to_text())
     return 0 if report.passed else 1
@@ -239,9 +245,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-n", type=int, default=4, dest="max_n")
     p_verify.add_argument("--json", action="store_true", help="machine-readable report")
     p_verify.add_argument("--jobs", type=int, default=1, help="worker processes sharing the cases")
-    p_verify.add_argument("--word-len", type=int, default=Budgets.word_len, dest="word_len")
-    p_verify.add_argument("--array-len", type=int, default=Budgets.array_len, dest="array_len")
-    p_verify.add_argument("--eval-sum", type=int, default=Budgets.eval_sum, dest="eval_sum")
+    p_verify.add_argument("--word-len", type=int, dest="word_len")
+    p_verify.add_argument("--array-len", type=int, dest="array_len")
+    p_verify.add_argument("--eval-sum", type=int, dest="eval_sum")
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -181,20 +181,17 @@ def stirling2(n: int, k: int) -> Count:
     """Stirling number of the second kind: partitions of n elements into k blocks.
 
     Also the number of standard tableaux over an n-symbol alphabet with
-    exactly k columns.  Out-of-range ``k`` gives 0.
+    exactly k columns.  Out-of-range ``k`` gives 0.  A row DP over
+    S(a, b) = b * S(a - 1, b) + S(a - 1, b - 1): O(n * k) integer steps.
     """
     if n < 1:
         raise InvalidInputError("n must be at least 1")
-
-    @cache
-    def rec(a: int, b: int) -> int:
-        if b < 0 or b > a:
-            return 0
-        if a == 0:
-            return 1
-        return b * rec(a - 1, b) + rec(a - 1, b - 1)
-
-    return rec(n, k)
+    if not 0 <= k <= n:
+        return 0
+    row = [1] + [0] * k  # row[b] = S(a, b), from a = 0
+    for _ in range(n):
+        row = [0] + [b * row[b] + row[b - 1] for b in range(1, k + 1)]
+    return row[k]
 
 
 def compositions(n: int) -> Iterator[Shape]:
@@ -230,6 +227,8 @@ def hook_count(n: int, shape: Sequence[int]) -> Count:
     The division is exact; a nonzero remainder is an internal error, never a
     rounding.
     """
+    if n < 1:
+        raise InvalidInputError("n must be at least 1")
     lam = _check_shape(n, shape)
     denominator = 1
     prefix = 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
-from .counting import count_lps, count_lps_rec, count_rps, count_rps_rec
+from .counting import count_lps, count_rps
 from .errors import InvalidInputError, ReverseInsertionError
 from .tableaux import Tableau, classify
 from .words import Direction, Symbol, Word, check_word, format_word, parse_word
@@ -47,8 +47,8 @@ class TwoRowedArray:
     bottom: Word
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "top", tuple(self.top))
-        object.__setattr__(self, "bottom", tuple(self.bottom))
+        object.__setattr__(self, "top", check_word(self.top))
+        object.__setattr__(self, "bottom", check_word(self.bottom))
         if len(self.top) != len(self.bottom):
             raise InvalidInputError(
                 f"top and bottom words differ in length: {len(self.top)} vs {len(self.bottom)}"
@@ -94,7 +94,7 @@ class TwoRowedArray:
     def from_json(cls, obj: dict) -> "TwoRowedArray":
         if not isinstance(obj, dict) or not all(isinstance(obj.get(row), list) for row in ("top", "bottom")):
             raise InvalidInputError("expected a JSON object whose 'top' and 'bottom' are lists")
-        return cls(top=check_word(obj["top"]), bottom=check_word(obj["bottom"]))
+        return cls(top=obj["top"], bottom=obj["bottom"])
 
 
 @dataclass(frozen=True)
@@ -114,17 +114,16 @@ class ModeSpec:
     array_kind: str
     pick_last_top: bool
     count: Callable[[Iterable[int]], int]
-    count_rec: Callable[[Iterable[int]], int]
 
 
 MODE_SPECS: dict[str, ModeSpec] = {
     "lps": ModeSpec(
         "lPS", "left", "is_lps", bisect_right, TwoRowedArray.is_lexicographic,
-        "lexicographic (l-array)", True, count_lps, count_lps_rec,
+        "lexicographic (l-array)", True, count_lps,
     ),
     "rps": ModeSpec(
         "rPS", "right", "is_rps", bisect_left, TwoRowedArray.is_reverse_lexicographic,
-        "reverse lexicographic (r-array)", False, count_rps, count_rps_rec,
+        "reverse lexicographic (r-array)", False, count_rps,
     ),
 }
 
@@ -180,8 +179,6 @@ def array_insert(arr: TwoRowedArray, mode: Mode) -> TableauPair:
     the recording tableau guaranteed to be of the same kind.
     """
     spec = mode_spec(mode)
-    check_word(arr.top)
-    check_word(arr.bottom)
     if not spec.is_valid_array(arr):
         raise InvalidInputError(f"array ({arr}) is not {spec.array_kind}")
     return _insert_pairs(zip(arr.bottom, arr.top), spec)

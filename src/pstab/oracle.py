@@ -30,7 +30,9 @@ from .counting import (
     bracket_lps,
     bracket_rps,
     compositions,
+    count_lps_rec,
     count_rps,
+    count_rps_rec,
     fiber_size,
     hook_count,
     ps_project,
@@ -277,9 +279,11 @@ def bracket_sum_rps(m: Iterable[int]) -> Count:
     return sum(bracket_rps(ev[1:], 0, j) for j in product((0, 1), repeat=len(ev) - 1))
 
 
-_BRACKET_SUMS: dict[str, Callable[[Iterable[int]], Count]] = {
-    "lps": bracket_sum_lps,
-    "rps": bracket_sum_rps,
+# each mode's reference routes to its count, which the dynamic program in
+# pstab.counting must agree with: the paper's recursion and its literal sum
+_COUNT_ROUTES: dict[str, dict[str, Callable[[Iterable[int]], Count]]] = {
+    "lps": {"recursion": count_lps_rec, "bracket sum": bracket_sum_lps},
+    "rps": {"recursion": count_rps_rec, "bracket sum": bracket_sum_rps},
 }
 
 
@@ -667,9 +671,13 @@ def _relabeling_invariance(sigma: Word) -> Iterator[str]:
             yield f"{format_word(sigma)} vs relabeling, pattern {name}"
 
 
+def _no_violations(item: object) -> Iterable[str]:
+    return ()
+
+
 def _closed_form_is_recursion(ev: tuple[int, ...]) -> Iterator[str]:
     for mode, spec in MODE_SPECS.items():
-        if not spec.count(ev) == spec.count_rec(ev) == _BRACKET_SUMS[mode](ev):
+        if {route(ev) for route in _COUNT_ROUTES[mode].values()} != {spec.count(ev)}:
             yield f"{mode} ev={ev}"
 
 
@@ -755,7 +763,7 @@ def _non_member_rejected() -> tuple[str, str]:
 def _count_vs_bruteforce(mode: Mode, max_total: int, ev: tuple[int, ...]) -> tuple[int, str]:
     spec = MODE_SPECS[mode]
     formula = spec.count(ev)
-    routes = {"recursion": spec.count_rec(ev), "bracket sum": _BRACKET_SUMS[mode](ev)}
+    routes = {name: route(ev) for name, route in _COUNT_ROUTES[mode].items()}
     brute = count_tableaux_bruteforce(ev, mode, max_total=max_total)
     wrong = [f"{name} gave {value}" for name, value in routes.items() if value != formula]
     return formula, f"{brute} ({', '.join(wrong)})" if wrong else str(brute)
@@ -837,7 +845,8 @@ class _Entry:
 
     Without ``inputs``, ``check()`` returns ``(formula, observed)``.  With
     them, ``check(item)`` yields the violations found at each item of
-    ``inputs()``.
+    ``inputs()``.  Fields hold module-level functions and partials of them,
+    so an entry pickles and a pool can be sent the entries themselves.
     """
 
     suite: str
@@ -908,7 +917,7 @@ def _case_table(max_n: int, b: Budgets) -> Iterator[_Entry]:
     if not evaluations:  # one case per evaluation, so report the family's empty sweep itself
         yield case("tableau count, formula vs brute force",
                    f"evaluations with sum <= {b.eval_sum}, <= {b.eval_symbols} symbols",
-                   lambda ev: (), partial(iter, evaluations))
+                   _no_violations, partial(iter, evaluations))
     yield case("closed form equals recursion",
                f"evaluations with sum <= {b.rec_eval_sum}, <= {b.rec_eval_symbols} symbols",
                _closed_form_is_recursion, partial(_positive_evaluations, b.rec_eval_sum, b.rec_eval_symbols))
@@ -970,20 +979,6 @@ def _run_entry(entry: _Entry) -> CaseResult:
     return CaseResult(entry.suite, entry.name, entry.case_input, formula, observed, formula == observed)
 
 
-# A pool worker's own copy of the table, built by _load_table: entries hold
-# functions and partials, so workers receive indices instead.
-_worker_table: list[_Entry] = []
-
-
-def _load_table(max_n: int, budgets: Budgets) -> None:
-    global _worker_table
-    _worker_table = list(_case_table(max_n, budgets))
-
-
-def _run_worker_entry(index: int) -> CaseResult:
-    return _run_entry(_worker_table[index])
-
-
 def verify_suite(max_n: int = 4, budgets: Budgets | None = None, jobs: int = 1) -> VerificationReport:
     """Run every cross-check of the package at the given scale.
 
@@ -1003,8 +998,8 @@ def verify_suite(max_n: int = 4, budgets: Budgets | None = None, jobs: int = 1) 
     table = list(_case_table(max_n, budgets))
     workers = min(jobs, os.cpu_count() or 1, len(table))
     if workers > 1:
-        with Pool(workers, initializer=_load_table, initargs=(max_n, budgets)) as pool:
-            cases = pool.map(_run_worker_entry, range(len(table)))
+        with Pool(workers) as pool:
+            cases = pool.map(_run_entry, table)
     else:
         cases = [_run_entry(entry) for entry in table]
     elapsed = time.perf_counter() - start

@@ -237,6 +237,18 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_hook_rejects_an_empty_alphabet(capsys):
+    code, _, err = run(capsys, "hook", "--n", "0", "--shape", "")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff 1 2\n")
+    code, _, err = run(capsys, "insert", "--mode", "lps", "--file", str(path))
+    assert code == 2 and err.startswith("error:") and str(path) in err
+
+
 def test_module_entry_point():
     import os
     import subprocess

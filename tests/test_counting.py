@@ -176,6 +176,12 @@ def test_stirling_examples():
         stirling2(0, 0)
 
 
+def test_stirling_closed_forms_far_beyond_the_recursion_limit():
+    n = 2000
+    assert stirling2(n, 2) == 2 ** (n - 1) - 1
+    assert stirling2(n, 3) == (3**n - 3 * 2**n + 3) // 6
+
+
 def test_compositions_order_and_count():
     assert list(compositions(1)) == [(1,)]
     assert list(compositions(3)) == [(3,), (2, 1), (1, 2), (1, 1, 1)]
@@ -183,6 +189,11 @@ def test_compositions_order_and_count():
     assert len(set(compositions(6))) == 32
     with pytest.raises(InvalidInputError):
         list(compositions(0))
+
+
+def test_hook_count_rejects_an_empty_alphabet():
+    with pytest.raises(InvalidInputError):
+        hook_count(0, ())
 
 
 def test_hook_count_four_box_table():

@@ -145,6 +145,12 @@ def test_two_rowed_array_validation_and_parsing():
     assert not TwoRowedArray(top=(2, 1), bottom=(1, 1)).is_reverse_lexicographic()
 
 
+def test_array_rows_must_hold_symbols():
+    for top, bottom in (((1, 0), (1, 1)), ((1, 2), (1, True)), ((1, 2), (StandardizedSymbol(1, 1), 2))):
+        with pytest.raises(InvalidInputError):
+            TwoRowedArray(top=top, bottom=bottom)
+
+
 def test_unknown_mode_is_rejected():
     one = TableauPair(Tableau([[1]]), Tableau([[1]]))
     arr = TwoRowedArray((1, 2), (2, 1))

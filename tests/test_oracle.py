@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 
@@ -20,7 +21,7 @@ from pstab import (
     words_with_evaluation,
 )
 from pstab.counting import compositions
-from pstab.oracle import arrays_over, fillings, mode_tableaux, words_over, _ps_insert_linear
+from pstab.oracle import arrays_over, fillings, mode_tableaux, words_over, _case_table, _ps_insert_linear
 
 
 def test_words_with_evaluation_small_sets():
@@ -144,6 +145,13 @@ def test_verify_suite_parallel_jobs_agree_with_serial():
     assert [c.to_dict() for c in parallel.cases] == [c.to_dict() for c in serial.cases]
 
 
+@pytest.mark.parametrize("eval_sum", [0, 3])
+def test_case_table_pickles_for_the_pool(eval_sum):
+    # a pool is sent the entries themselves; eval_sum=0 adds the empty-sweep entry
+    table = list(_case_table(2, Budgets(word_len=1, array_len=1, eval_sum=eval_sum)))
+    assert len(pickle.loads(pickle.dumps(table))) == len(table)
+
+
 @pytest.mark.parametrize("field", ["word_len", "array_len", "eval_sum", "word_alphabet", "formula_n"])
 def test_budgets_reject_negative_sizes(field):
     with pytest.raises(InvalidInputError):
@@ -161,9 +169,8 @@ def test_verify_suite_clamps_the_pool(monkeypatch, jobs, cpus, expected):
     sizes = []
 
     class FakePool:
-        def __init__(self, processes, initializer, initargs):
+        def __init__(self, processes):
             sizes.append(processes)
-            initializer(*initargs)  # a worker builds its own case table
 
         def __enter__(self):
             return self
@@ -175,7 +182,6 @@ def test_verify_suite_clamps_the_pool(monkeypatch, jobs, cpus, expected):
             return [func(item) for item in items]
 
     monkeypatch.setattr("pstab.oracle.Pool", FakePool)
-    monkeypatch.setattr("pstab.oracle._worker_table", [])
     monkeypatch.setattr("pstab.oracle.os.cpu_count", lambda: cpus)
     report = verify_suite(max_n=2, budgets=Budgets(word_len=1, array_len=1, eval_sum=2), jobs=jobs)
     assert report.passed
