@@ -20,7 +20,7 @@ from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalError, InvalidInputError
-from .tableaux import Shape, Tableau, classify
+from .tableaux import Shape, Tableau
 from .words import Evaluation
 
 Count = int
@@ -291,9 +291,10 @@ def ps_project(t: Tableau, alphabet: Sequence[int] | None = None) -> Tableau:
     idempotent and fixes every standard tableau; its fibers all have size
     :func:`fiber_size`.
     """
-    if not classify(t).is_pre:
+    content = t.content()
+    if len(content) != len(t):
         raise InvalidInputError("projection requires pairwise-distinct symbols")
-    if alphabet is not None and not t.content() <= set(alphabet):
+    if alphabet is not None and not content <= set(alphabet):
         raise InvalidInputError("tableau content is not contained in the alphabet")
     cols = [list(col) for col in t.columns]
     for i in range(len(cols)):

@@ -70,26 +70,24 @@ def words_with_evaluation(ev: Sequence[int]) -> Iterator[Word]:
     """All distinct words with the given evaluation, in lexicographic order.
 
     Yields (sum ev)! / prod(ev_a!) words; entry ``a`` of ``ev`` is the
-    multiplicity of symbol ``a + 1``.
+    multiplicity of symbol ``a + 1``.  Starts from the sorted word and steps
+    to the next permutation of the multiset until the word is nonincreasing.
     """
     _normalize_evaluation(ev)
-    counts = list(ev)
-    total = sum(counts)
-    word: list[int] = []
-
-    def rec() -> Iterator[Word]:
-        if len(word) == total:
-            yield tuple(word)
+    word = [a + 1 for a, m in enumerate(ev) for _ in range(m)]
+    last = len(word) - 1
+    while True:
+        yield tuple(word)
+        i = last - 1
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for a in range(len(counts)):
-            if counts[a]:
-                counts[a] -= 1
-                word.append(a + 1)
-                yield from rec()
-                word.pop()
-                counts[a] += 1
-
-    yield from rec()
+        j = last
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1 :] = reversed(word[i + 1 :])
 
 
 def words_over(alphabet_size: int, length: int) -> Iterator[Word]:

@@ -53,7 +53,7 @@ class Tableau:
     def _trusted(cls, columns: Iterable[Iterable[Symbol]]) -> "Tableau":
         """Build from nonempty columns of checked symbols, without re-checking."""
         t = object.__new__(cls)
-        object.__setattr__(t, "columns", tuple(tuple(col) for col in columns))
+        object.__setattr__(t, "columns", tuple(map(tuple, columns)))
         return t
 
     def __setattr__(self, name: str, value: Any) -> None:
@@ -83,7 +83,7 @@ class Tableau:
         return tuple(col[0] for col in self.columns)
 
     def content(self) -> frozenset:
-        return frozenset(sym for col in self.columns for sym in col)
+        return frozenset(itertools.chain.from_iterable(self.columns))
 
     def entry(self, column: int, row: int) -> Symbol:
         """Symbol at 1-based column-row position (column, row), rows from the bottom."""
@@ -107,20 +107,44 @@ class TableauClass:
 def classify(t: Tableau) -> TableauClass:
     """Classify ``t`` against every tableau kind at once.
 
-    The empty tableau belongs to every class.
+    One pass over the columns and one over the bottom row.  A strict descent
+    ends a pass, since it breaks both the weak and the strict order; a column
+    descent skips the bottom row, since the tableau is then neither lPS nor
+    rPS.  The empty tableau belongs to every class.
     """
     cols = t.columns
-    strict_cols = all(a < b for col in cols for a, b in itertools.pairwise(col))
-    weak_cols = all(a <= b for col in cols for a, b in itertools.pairwise(col))
-    bottom = [col[0] for col in cols]
-    weak_bottom = all(a <= b for a, b in itertools.pairwise(bottom))
-    strict_bottom = all(a < b for a, b in itertools.pairwise(bottom))
-    symbols = [sym for col in cols for sym in col]
-    is_pre = len(set(symbols)) == len(symbols)
+    strict_cols = weak_cols = True
+    for col in cols:
+        rest = iter(col)
+        a = next(rest)
+        for b in rest:
+            if a >= b:
+                strict_cols = False
+                if a > b:
+                    weak_cols = False
+                    break
+            a = b
+        if not weak_cols:
+            break
+    strict_bottom = weak_bottom = True
+    if weak_cols and cols:
+        rest = iter(cols)
+        a = next(rest)[0]
+        for col in rest:
+            b = col[0]
+            if a >= b:
+                strict_bottom = False
+                if a > b:
+                    weak_bottom = False
+                    break
+            a = b
+    symbols = set(itertools.chain.from_iterable(cols))
+    size = sum(map(len, cols))
+    is_pre = len(symbols) == size
     is_lps = strict_cols and weak_bottom
     is_rps = weak_cols and strict_bottom
     is_standard = is_pre and is_lps and is_rps
-    is_recording = is_standard and set(symbols) == set(range(1, len(symbols) + 1))
+    is_recording = is_standard and symbols == set(range(1, size + 1))
     return TableauClass(is_pre, is_lps, is_rps, is_standard, is_recording)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from pstab import (
     InvalidInputError,
+    StandardizedSymbol,
     bell_hook_sum,
     Tableau,
     bell_hook,
@@ -261,6 +262,20 @@ def test_ps_project_fixes_standard_tableaux():
     t = Tableau([[1, 6], [2, 3], [4, 5, 7]])
     assert ps_project(t) == t
     assert ps_project(Tableau()) == Tableau()
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [[1, 2], [2]],
+        [[StandardizedSymbol(1, 1), StandardizedSymbol(2, 1)], [StandardizedSymbol(2, 1)]],
+    ],
+)
+@pytest.mark.parametrize("alphabet", [None, (7, 8)])
+def test_ps_project_refuses_repeated_symbols_first(columns, alphabet):
+    # the repeat is reported even when the alphabet check would also fail
+    with pytest.raises(InvalidInputError, match="^projection requires pairwise-distinct symbols$"):
+        ps_project(Tableau(columns), alphabet)
 
 
 def test_ps_project_validates_input():

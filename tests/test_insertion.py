@@ -1,4 +1,6 @@
-from hypothesis import given, strategies as st
+import random
+
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from pstab import (
@@ -19,6 +21,7 @@ from pstab import (
     standardize,
     standardize_tableau,
 )
+from pstab.oracle import _ps_insert_linear
 
 words = st.lists(st.integers(min_value=1, max_value=4), max_size=9).map(tuple)
 modes = st.sampled_from(["lps", "rps"])
@@ -168,21 +171,45 @@ def test_unknown_mode_is_rejected():
                 call(mode)
 
 
-BAD_WORDS = [(0,), (1, -1), (True,), (1, StandardizedSymbol(1, 1)), (StandardizedSymbol(2, 0),)]
+BAD_WORDS = [
+    (0,), (1, -1), (True,), (1, StandardizedSymbol(1, 1)), (StandardizedSymbol(2, 0),),
+    (StandardizedSymbol(1, 1), 2),
+]
 
 
 @pytest.mark.parametrize("word", BAD_WORDS)
 @pytest.mark.parametrize("mode", ["lps", "rps"])
 def test_insertion_rejects_bad_symbols(word, mode):
-    with pytest.raises(InvalidInputError):
+    # ps_insert has its own loop but the same boundary: same refusal, same message
+    with pytest.raises(InvalidInputError) as plain:
         ps_insert(word, mode)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError) as extended:
         extended_insert(word, mode)
+    assert str(plain.value) == str(extended.value)
     labels = tuple(range(1, len(word) + 1))
     with pytest.raises(InvalidInputError):
         array_insert(TwoRowedArray(top=labels, bottom=word), mode)
     with pytest.raises(InvalidInputError):
         array_insert(TwoRowedArray(top=word, bottom=labels), mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2000),
+    st.sampled_from(["two", "fifty", "length"]),
+    st.integers(0, 2**32),
+    modes,
+    st.sampled_from([None, "left", "right"]),
+)
+def test_ps_insert_matches_extended_and_linear_insertion_at_scale(length, alphabet, seed, mode, direction):
+    size = {"two": 2, "fifty": 50, "length": max(length, 1)}[alphabet]
+    rng = random.Random(seed)
+    word = tuple(rng.randint(1, size) for _ in range(length))
+    if direction is not None:
+        word = standardize(word, direction)
+    p = ps_insert(word, mode)
+    assert p == extended_insert(word, mode).p
+    assert p == _ps_insert_linear(word, mode)
 
 
 def test_reverse_insertion_error_carries_location():

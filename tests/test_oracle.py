@@ -1,5 +1,7 @@
 import json
 import pickle
+from itertools import permutations, product
+from math import factorial, prod
 
 import pytest
 
@@ -34,6 +36,21 @@ def test_words_with_evaluation_small_sets():
 
 def test_words_with_evaluation_respects_zero_entries():
     assert set(words_with_evaluation((1, 0, 1))) == {(1, 3), (3, 1)}
+
+
+def test_words_with_evaluation_is_the_sorted_set_of_permutations():
+    # order matters: a failing verify case is reproduced from its report line
+    checked = 0
+    for entries in range(1, 5):
+        for ev in product(range(8), repeat=entries):
+            if not 1 <= sum(ev) <= 7:
+                continue
+            multiset = [a + 1 for a, m in enumerate(ev) for _ in range(m)]
+            words = list(words_with_evaluation(ev))
+            assert words == sorted(set(permutations(multiset))), ev
+            assert len(words) == factorial(sum(ev)) // prod(map(factorial, ev))
+            checked += 1
+    assert checked == 7 + 35 + 119 + 329
 
 
 def test_words_with_evaluation_rejects_empty():

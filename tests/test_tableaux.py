@@ -1,3 +1,4 @@
+import itertools
 import json
 
 from hypothesis import given, strategies as st
@@ -18,6 +19,9 @@ from pstab import (
     tableau_from_json,
     tableau_to_json,
 )
+from pstab.counting import compositions
+from pstab.oracle import _split_filling
+from pstab.tableaux import TableauClass
 
 
 def S(base, index):
@@ -92,6 +96,72 @@ def test_classify_flag_implications(t):
         assert kind.is_standard_ps
     if kind.is_standard_ps:
         assert kind.is_lps and kind.is_rps and kind.is_pre
+
+
+def _classify_by_generators(t):
+    # The generator-based classify, kept as the reference for the one-pass one.
+    cols = t.columns
+    strict_cols = all(a < b for col in cols for a, b in itertools.pairwise(col))
+    weak_cols = all(a <= b for col in cols for a, b in itertools.pairwise(col))
+    bottom = [col[0] for col in cols]
+    weak_bottom = all(a <= b for a, b in itertools.pairwise(bottom))
+    strict_bottom = all(a < b for a, b in itertools.pairwise(bottom))
+    symbols = [sym for col in cols for sym in col]
+    is_pre = len(set(symbols)) == len(symbols)
+    is_lps = strict_cols and weak_bottom
+    is_rps = weak_cols and strict_bottom
+    is_standard = is_pre and is_lps and is_rps
+    is_recording = is_standard and set(symbols) == set(range(1, len(symbols) + 1))
+    return TableauClass(is_pre, is_lps, is_rps, is_standard, is_recording)
+
+
+def test_classify_matches_the_reference_on_every_small_filling():
+    # every filling over A_3 of every composition shape with <= 5 boxes,
+    # the standardizations of its lPS and rPS members, and the empty tableau
+    checked = {"lps": 0, "rps": 0, "standardized": 0}
+    assert classify(Tableau()) == _classify_by_generators(Tableau())
+    for boxes in range(1, 6):
+        for shape in compositions(boxes):
+            for filling in itertools.product((1, 2, 3), repeat=boxes):
+                t = _split_filling(filling, shape)
+                kind = classify(t)
+                assert kind == _classify_by_generators(t)
+                for flag, direction in (("lps", "left"), ("rps", "right")):
+                    if getattr(kind, f"is_{flag}"):
+                        checked[flag] += 1
+                        std = standardize_tableau(t, direction)
+                        assert classify(std) == _classify_by_generators(std)
+                        checked["standardized"] += 1
+    assert min(checked.values()) > 0
+
+
+@st.composite
+def large_tableaux(draw):
+    # up to 200 boxes: insertion images (lPS, rPS, and standard ones from
+    # permutations) and arbitrary fillings with and without sorted columns
+    size = draw(st.integers(0, 200))
+    kind = draw(st.sampled_from(["lps", "rps", "permutation", "filling", "sorted columns"]))
+    if kind == "permutation":
+        word = tuple(draw(st.permutations(range(1, size + 1))))
+    else:
+        top = draw(st.integers(1, max(size, 1)))
+        word = tuple(draw(st.lists(st.integers(1, top), min_size=size, max_size=size)))
+    if kind in ("lps", "rps", "permutation"):
+        t = ps_insert(word, "rps" if kind == "rps" else "lps")
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, size - 1)))) if size > 1 else []
+        t = _split_filling(word, [b - a for a, b in itertools.pairwise([0, *cuts, size]) if b > a])
+        if kind == "sorted columns":
+            t = Tableau(map(sorted, t.columns))
+    reference = _classify_by_generators(t)
+    if draw(st.booleans()) and t and (reference.is_lps or reference.is_rps):
+        t = standardize_tableau(t, "left" if reference.is_lps else "right")
+    return t
+
+
+@given(large_tableaux())
+def test_classify_matches_the_reference_at_scale(t):
+    assert classify(t) == _classify_by_generators(t)
 
 
 def test_column_reading_examples():
