@@ -80,34 +80,42 @@ def _render_pair(pair: TableauPair, fmt: str) -> str:
     return _side_by_side(left, right)
 
 
-def _read_source(args: argparse.Namespace, positional: str | None) -> str:
-    if getattr(args, "file", None):
-        with open(args.file, encoding="utf-8") as handle:
-            try:
-                return handle.read().strip()
-            except UnicodeDecodeError as exc:
-                raise InvalidInputError(f"{args.file} is not UTF-8 text: {exc}") from exc
-    if positional is None:
+def _read_source(args: argparse.Namespace, inline: dict[str, str | None]) -> str:
+    """The text of the one input a request gives.
+
+    ``inline`` maps the names of the command's inline inputs to their values
+    (None when not given); ``--file`` is the other source.
+    """
+    given = [name for name, text in inline.items() if text is not None]
+    if args.file:
+        given.append("--file")
+    if len(given) > 1:
+        raise InvalidInputError(f"give either {given[0]} or {given[1]}, not both")
+    if not given:
         raise InvalidInputError("no input given (pass it as an argument or with --file)")
-    return positional
+    if not args.file:
+        return inline[given[0]]
+    with open(args.file, encoding="utf-8") as handle:
+        try:
+            return handle.read().strip()
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{args.file} is not UTF-8 text: {exc}") from exc
 
 
 def _cmd_insert(args: argparse.Namespace) -> int:
-    word = parse_word(_read_source(args, args.word))
+    word = parse_word(_read_source(args, {"an inline word": args.word}))
     pair = extended_insert(word, args.mode)
     print(_render_pair(pair, args.format))
     return 0
 
 
 def _cmd_rsk(args: argparse.Namespace) -> int:
-    if args.array is not None and args.word is not None:
-        raise InvalidInputError("give either --word or --array, not both")
+    text = _read_source(args, {"--word": args.word, "--array": args.array})
     if args.array is not None:
-        value = TwoRowedArray.parse(args.array)
+        value = TwoRowedArray.parse(text)
     elif args.word is not None:
-        value = parse_word(args.word)
+        value = parse_word(text)
     else:
-        text = _read_source(args, None)
         value = TwoRowedArray.parse(text) if "/" in text else parse_word(text)
     pair = rsk(value, args.mode)
     print(_render_pair(pair, args.format))
@@ -115,7 +123,7 @@ def _cmd_rsk(args: argparse.Namespace) -> int:
 
 
 def _cmd_unrsk(args: argparse.Namespace) -> int:
-    text = _read_source(args, args.pair)
+    text = _read_source(args, {"an inline pair": args.pair})
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

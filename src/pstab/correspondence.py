@@ -3,8 +3,10 @@
 Insertion maps words (arrays) bijectively onto the same-shape tableau pairs
 whose column readings jointly avoid three pattern pairs.  Because it is a
 bijection onto that set, :func:`is_stable_pair` decides membership by round
-trip: a pair is a member exactly when what is extracted from it re-inserts
-to it, which costs about one insertion.  The paper's O(n^2) pattern scan is
+trip: a pair is a member exactly when what reverse insertion extracts from
+it re-inserts to it, which costs about one insertion.  One extraction serves
+every level: at the word level the recording labels are 1..n, so the
+extracted array's bottom row is the word.  The paper's O(n^2) pattern scan is
 kept in :mod:`pstab.oracle` as the reference the verify suite compares with.
 :func:`rsk` runs the forward map, :func:`rsk_inverse` refuses non-members
 and otherwise returns that same extraction, the unique preimage.
@@ -16,14 +18,13 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Literal, Union
 
-from .errors import InvalidInputError, NotInStablePairsError, ReverseInsertionError
+from .errors import InvalidInputError, NotInStablePairsError
 from .insertion import (
     Mode,
     ModeSpec,
     TableauPair,
     TwoRowedArray,
     _insert_pairs,
-    _read,
     _unwind,
     array_insert,
     extended_insert,
@@ -137,20 +138,10 @@ def _checked_spec(pair: TableauPair, mode: Mode, level: str) -> ModeSpec:
     return spec
 
 
-def _preimage(pair: TableauPair, spec: ModeSpec, level: str) -> Union[Word, TwoRowedArray, None]:
-    """The extraction from a checked pair if it re-inserts to the pair, else None.
-
-    Reads the word by the recording tableau at the word level and unwinds an
-    array otherwise; an array that cannot be unwound, or is not of the mode's
-    kind, has no preimage.
-    """
-    if level == "word":
-        word = _read(pair)
-        return word if _insert_pairs(zip(word, range(1, len(word) + 1)), spec) == pair else None
-    try:
-        arr = _unwind(pair, spec)
-    except ReverseInsertionError:
-        return None
+def _preimage(pair: TableauPair, spec: ModeSpec) -> TwoRowedArray | None:
+    """The array reverse insertion extracts from a checked pair if it is of
+    the mode's kind and re-inserts to the pair, else None."""
+    arr = _unwind(pair, spec)
     if spec.is_valid_array(arr) and _insert_pairs(zip(arr.bottom, arr.top), spec) == pair:
         return arr
     return None
@@ -164,11 +155,9 @@ def is_stable_pair(pair: TableauPair, mode: Mode, level: StablePairLevel) -> boo
     * ``array``: both tableaux of the mode's kind.
 
     Insertion is a bijection onto each stable pairs set, so a pair is a member
-    exactly when its extraction re-inserts to it: by the recording tableau at
-    the word level, by reverse insertion at the array and standard levels.
+    exactly when the array reverse insertion extracts from it re-inserts to it.
     """
-    spec = _checked_spec(pair, mode, level)
-    return _preimage(pair, spec, "word" if level == "word" else "array") is not None
+    return _preimage(pair, _checked_spec(pair, mode, level)) is not None
 
 
 def rsk(value: Union[TwoRowedArray, Iterable[Symbol]], mode: Mode) -> TableauPair:
@@ -193,9 +182,9 @@ def rsk_inverse(
     """
     if level not in ("word", "array"):
         raise InvalidInputError(f"level must be 'word' or 'array', got {level!r}")
-    value = _preimage(pair, _checked_spec(pair, mode, level), level)
-    if value is None:
+    arr = _preimage(pair, _checked_spec(pair, mode, level))
+    if arr is None:
         raise NotInStablePairsError(
             f"pair is not in the {level}-level {mode} stable pairs set"
         )
-    return value
+    return arr.bottom if level == "word" else arr

@@ -22,9 +22,9 @@ class BudgetExceededError(PSTabError):
 class ReverseInsertionError(PSTabError):
     """Reverse insertion hit a state it cannot unwind.
 
-    Unreachable for pairs that classify as the requested tableau kind; kept as
-    a guard because the extraction is mechanical and does not re-validate its
-    input at every step.
+    Nothing in the package raises it: reverse insertion is one sort of the
+    boxes and cannot get stuck.  It stays a public name, with its ``step``
+    and ``column`` fields, for code that catches it.
     """
 
     def __init__(self, message: str, step: int | None = None, column: int | None = None):

@@ -7,6 +7,10 @@ is greater or equal.  When no column qualifies the symbol starts a new
 rightmost column.  Bumping pushes the whole column up one box and places the
 new symbol in the freed bottom box.
 
+Reverse insertion undoes this by removing the largest recording label again
+and again; since recording columns are sorted and ties between columns go to
+a fixed side, that is one stable sort of the boxes by label, at every level.
+
 Every order choice that tells the two modes apart lives in one table,
 :data:`MODE_SPECS`; :func:`mode_spec` is the only place a mode is checked.
 """
@@ -15,11 +19,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
 from .counting import count_lps, count_rps
-from .errors import InvalidInputError, ReverseInsertionError
+from .errors import InvalidInputError
 from .tableaux import Tableau, classify
 from .words import Direction, Symbol, Word, check_word, format_word, parse_word
 
@@ -223,34 +227,21 @@ def reverse_insertion(pair: TableauPair, mode: Mode) -> TwoRowedArray:
 def _unwind(pair: TableauPair, spec: ModeSpec) -> TwoRowedArray:
     """:func:`reverse_insertion` of a same-shape pair whose kinds are checked.
 
-    A heap holds each column's top label, keyed by the label's rank and then
-    by the column index (negated when the last column topped by the largest
-    label is taken), so a step costs O(log n) instead of a scan of every top.
+    The second tableau's columns increase upward, so each removal takes the
+    largest label left from the top of the last column holding it in lps mode
+    and the first in rps mode.  The removals therefore run down the boxes by
+    label, then column, then row, and the output, which lists them in reverse,
+    is one stable sort by label of the boxes listed column by column (right to
+    left in rps mode), bottom box first.  The k-th box from the bottom of a
+    second-tableau column pairs with the k-th from the top of the first's.
     """
     p, q = pair
-    q_cols = [list(col) for col in q.columns]
-    p_cols = [list(reversed(col)) for col in p.columns]  # top-first: a removal is a pop()
-    rank = {label: r for r, label in enumerate(sorted({label for col in q_cols for label in col}))}
-    side = -1 if spec.pick_last_top else 1
-    heap = [(-rank[col[-1]], side * j) for j, col in enumerate(q_cols)]
-    heapify(heap)
-    last = len(q_cols) - 1
-    top: list[Symbol] = []
-    bottom: list[Symbol] = []
-    for step in range(len(q), 0, -1):
-        key = heappop(heap)[1]
-        j = side * key
-        top.append(q_cols[j].pop())
-        bottom.append(p_cols[j].pop())
-        if q_cols[j]:
-            heappush(heap, (-rank[q_cols[j][-1]], key))
-        elif j != last:
-            raise ReverseInsertionError(
-                "removal emptied a column left of the last one", step=step, column=j + 1
-            )
-        else:
-            last -= 1
-    return TwoRowedArray(top=top[::-1], bottom=bottom[::-1])
+    columns = list(zip(q.columns, p.columns))
+    if not spec.pick_last_top:
+        columns.reverse()
+    boxes = [box for q_col, p_col in columns for box in zip(q_col, reversed(p_col))]
+    boxes.sort(key=itemgetter(0))
+    return TwoRowedArray(top=tuple(map(itemgetter(0), boxes)), bottom=tuple(map(itemgetter(1), boxes)))
 
 
 def read_by_recording(pair: TableauPair) -> Word:
@@ -266,15 +257,4 @@ def read_by_recording(pair: TableauPair) -> Word:
         raise InvalidInputError(f"tableau shapes differ: {p.shape} vs {q.shape}")
     if not classify(q).is_recording:
         raise InvalidInputError("second tableau is not a recording tableau")
-    return _read(pair)
-
-
-def _read(pair: TableauPair) -> Word:
-    """:func:`read_by_recording` of a same-shape pair whose second tableau is
-    a checked recording tableau."""
-    p, q = pair
-    word: list[Symbol] = [0] * len(q)
-    for p_col, q_col in zip(p.columns, q.columns):
-        for sym, label in zip(reversed(p_col), q_col):
-            word[label - 1] = sym
-    return tuple(word)
+    return _unwind(pair, MODE_SPECS["lps"]).bottom

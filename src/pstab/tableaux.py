@@ -21,8 +21,7 @@ and hash freely.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from .errors import InvalidInputError
 from .words import Direction, Evaluation, StandardizedSymbol, Symbol, Word, check_word, evaluation
@@ -93,8 +92,7 @@ class Tableau:
         return evaluation(itertools.chain.from_iterable(self.columns), alphabet_size)
 
 
-@dataclass(frozen=True)
-class TableauClass:
+class TableauClass(NamedTuple):
     """All classification flags of a tableau, computed in one pass."""
 
     is_pre: bool

@@ -227,6 +227,24 @@ def test_rsk_rejects_both_word_and_array(capsys):
     assert code == 2 and "not both" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["insert", "--mode", "lps", "5 5"],
+        ["rsk", "--mode", "lps", "--word", "5 5"],
+        ["unrsk", "--mode", "lps", '{"p": {"columns": [[5]]}, "q": {"columns": [[1]]}}'],
+    ],
+    ids=["insert", "rsk", "unrsk"],
+)
+def test_inline_input_and_file_are_refused_together(capsys, tmp_path, argv):
+    # the file holds a valid input, so neither source may win silently
+    path = tmp_path / "input.txt"
+    path.write_text("1 2\n" if argv[0] != "unrsk" else argv[-1], encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--file, not both" in err
+
+
 def test_bell_rejects_nonpositive(capsys):
     code, _, err = run(capsys, "bell", "0")
     assert code == 2

@@ -274,11 +274,28 @@ def test_reverse_insertion_matches_the_scan_on_every_small_pair(mode):
 
 @given(st.lists(st.integers(1, 30), min_size=1, max_size=80).map(tuple), modes)
 def test_reverse_insertion_matches_the_scan_on_standardized_pairs(word, mode):
-    # standardized labels have no negation, so the heap must order them by rank
+    # standardized labels are not integers: the extraction may only compare them
     direction = "left" if mode == "lps" else "right"
     p, q = extended_insert(word, mode)
     pair = TableauPair(standardize_tableau(p, direction), standardize_tableau(q, direction))
     assert reverse_insertion(pair, mode) == _reverse_insertion_by_scan(pair, mode)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(50, 300), st.integers(2, 5), st.integers(0, 2**32), modes)
+def test_reverse_insertion_matches_the_scan_at_scale(boxes, letters, seed, mode):
+    # Few letters make many tied labels.  Swapping or doubling the tableaux of
+    # an array's insertion keeps their kinds, and about half of the doubled
+    # pairs are not stable pairs, so members and non-members are both unwound.
+    rng = random.Random(seed)
+    cells = [(rng.randint(1, letters), rng.randint(1, letters)) for _ in range(boxes)]
+    cells.sort(key=lambda c: (c[0], c[1] if mode == "lps" else -c[1]))
+    arr = TwoRowedArray(tuple(u for u, _ in cells), tuple(v for _, v in cells))
+    p, q = array_insert(arr, mode)
+    for pair in (TableauPair(p, q), TableauPair(q, p), TableauPair(p, p), TableauPair(q, q)):
+        assert reverse_insertion(pair, mode) == _reverse_insertion_by_scan(pair, mode)
+    word_pair = extended_insert(arr.bottom, mode)
+    assert read_by_recording(word_pair) == reverse_insertion(word_pair, mode).bottom == arr.bottom
 
 
 def test_reverse_insertion_validates_input():
