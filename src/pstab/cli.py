@@ -10,7 +10,6 @@ the JSON ``elapsed_seconds``).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Iterable, Sequence
 
@@ -27,7 +26,9 @@ from .tableaux import (
 from .words import StandardizedSymbol, Symbol, format_word, parse_word
 
 # pstab.oracle is imported only inside the two commands that run it (verify,
-# bell --method oracle), so that no other request compiles it
+# bell --method oracle), and json only inside unrsk, so that no other request
+# loads them.  The layer imports above stay at module level: perfbench's
+# tracer times the layers by rebinding the names they bind here.
 
 
 def _pair_from_json(obj: dict) -> TableauPair:
@@ -123,11 +124,15 @@ def _cmd_rsk(args: argparse.Namespace) -> int:
 
 
 def _cmd_unrsk(args: argparse.Namespace) -> int:
+    import json
+
     text = _read_source(args, {"an inline pair": args.pair})
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"pair must be JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidInputError("pair JSON is nested too deeply to parse") from exc
     pair = _pair_from_json(obj)
     level = args.level
     if level == "auto":

@@ -18,9 +18,8 @@ Every order choice that tells the two modes apart lives in one table,
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Literal, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Literal, NamedTuple, Sequence
 
 from .counting import count_lps, count_rps
 from .errors import InvalidInputError
@@ -37,7 +36,6 @@ class TableauPair(NamedTuple):
     q: Tableau
 
 
-@dataclass(frozen=True)
 class TwoRowedArray:
     """Pair of equal-length words, a top word over a bottom word.
 
@@ -45,18 +43,54 @@ class TwoRowedArray:
     increases and the bottom entries weakly increase within each run of equal
     top entries; it is reverse lexicographic (an r-array) when the bottom
     entries weakly decrease within such runs instead.
+
+    An immutable value: equality, hashing, ``repr``, pickling and copying go
+    by the two rows.  Arrays built inside the package from checked rows come
+    from :meth:`_trusted` and skip the checks.
     """
+
+    __slots__ = ("top", "bottom")
 
     top: Word
     bottom: Word
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "top", check_word(self.top))
-        object.__setattr__(self, "bottom", check_word(self.bottom))
-        if len(self.top) != len(self.bottom):
+    def __init__(self, top: Iterable[Symbol], bottom: Iterable[Symbol]):
+        top, bottom = check_word(top), check_word(bottom)
+        if len(top) != len(bottom):
             raise InvalidInputError(
-                f"top and bottom words differ in length: {len(self.top)} vs {len(self.bottom)}"
+                f"top and bottom words differ in length: {len(top)} vs {len(bottom)}"
             )
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
+
+    @classmethod
+    def _trusted(cls, top: Word, bottom: Word) -> "TwoRowedArray":
+        """Build from two checked words of equal length, without re-checking."""
+        arr = object.__new__(cls)
+        object.__setattr__(arr, "top", top)
+        object.__setattr__(arr, "bottom", bottom)
+        return arr
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy would otherwise restore the slots through __setattr__
+        return type(self), (self.top, self.bottom)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.top == other.top and self.bottom == other.bottom
+
+    def __hash__(self) -> int:
+        return hash((self.top, self.bottom))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(top={self.top!r}, bottom={self.bottom!r})"
 
     def __len__(self) -> int:
         return len(self.top)
@@ -101,8 +135,7 @@ class TwoRowedArray:
         return cls(top=obj["top"], bottom=obj["bottom"])
 
 
-@dataclass(frozen=True)
-class ModeSpec:
+class ModeSpec(NamedTuple):
     """The order choices that tell lPS from rPS.
 
     ``bisect(heads, value)`` is the column a value bumps, or ``len(heads)``
@@ -241,7 +274,8 @@ def _unwind(pair: TableauPair, spec: ModeSpec) -> TwoRowedArray:
         columns.reverse()
     boxes = [box for q_col, p_col in columns for box in zip(q_col, reversed(p_col))]
     boxes.sort(key=itemgetter(0))
-    return TwoRowedArray(top=tuple(map(itemgetter(0), boxes)), bottom=tuple(map(itemgetter(1), boxes)))
+    # the rows are the checked tableaux' symbols, two per box
+    return TwoRowedArray._trusted(tuple(map(itemgetter(0), boxes)), tuple(map(itemgetter(1), boxes)))
 
 
 def read_by_recording(pair: TableauPair) -> Word:

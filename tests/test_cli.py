@@ -267,6 +267,16 @@ def test_file_that_is_not_utf8_exits_2(capsys, tmp_path):
     assert code == 2 and err.startswith("error:") and str(path) in err
 
 
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    # nesting far past the recursion limit, inline and from a file
+    deep = "[" * 10**5 + "]" * 10**5
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for source in ((deep,), ("--file", str(path))):
+        code, out, err = run(capsys, "unrsk", "--mode", "lps", *source)
+        assert (code, out) == (2, "") and err.startswith("error:")
+
+
 def test_module_entry_point():
     import os
     import subprocess
