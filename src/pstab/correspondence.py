@@ -15,7 +15,7 @@ and otherwise returns that same extraction, the unique preimage.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Iterable, Literal, Union
+from typing import Iterable, Literal, Union
 
 from .errors import InvalidInputError, NotInStablePairsError
 from .insertion import (
@@ -29,7 +29,7 @@ from .insertion import (
     extended_insert,
     mode_spec,
 )
-from .tableaux import classify
+from .tableaux import _Value, classify
 from .words import StandardizedSymbol, Symbol, Word
 
 StablePairLevel = Literal["standard", "word", "array"]
@@ -37,7 +37,7 @@ StablePairLevel = Literal["standard", "word", "array"]
 LEVELS = ("standard", "word", "array")
 
 
-class DashedPattern:
+class DashedPattern(_Value):
     """Permutation pattern split into blocks; matches must be contiguous
     within a block, while any gap (including none) is allowed at a dash.
 
@@ -55,27 +55,6 @@ class DashedPattern:
             raise InvalidInputError(f"pattern symbols must form a permutation of 1..{len(symbols)}")
         if any(not block for block in self.blocks):
             raise InvalidInputError("pattern blocks must be nonempty")
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        # pickle and copy would otherwise restore the slot through __setattr__
-        return type(self), (self.blocks,)
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.blocks == other.blocks
-
-    def __hash__(self) -> int:
-        return hash((self.blocks,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(blocks={self.blocks!r})"
 
     def flat(self) -> tuple[int, ...]:
         return tuple(chain.from_iterable(self.blocks))

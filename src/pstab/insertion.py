@@ -18,12 +18,12 @@ Every order choice that tells the two modes apart lives in one table,
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
-from typing import Any, Callable, Iterable, Literal, NamedTuple, Sequence
+from operator import itemgetter, le
+from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
 from .counting import count_lps, count_rps
 from .errors import InvalidInputError
-from .tableaux import Tableau, classify
+from .tableaux import Tableau, _Value, classify
 from .words import Direction, Symbol, Word, check_word, format_word, parse_word
 
 Mode = Literal["lps", "rps"]
@@ -36,7 +36,7 @@ class TableauPair(NamedTuple):
     q: Tableau
 
 
-class TwoRowedArray:
+class TwoRowedArray(_Value):
     """Pair of equal-length words, a top word over a bottom word.
 
     The array is lexicographic (an l-array) when the top word weakly
@@ -71,27 +71,6 @@ class TwoRowedArray:
         object.__setattr__(arr, "bottom", bottom)
         return arr
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        # pickle and copy would otherwise restore the slots through __setattr__
-        return type(self), (self.top, self.bottom)
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.top == other.top and self.bottom == other.bottom
-
-    def __hash__(self) -> int:
-        return hash((self.top, self.bottom))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(top={self.top!r}, bottom={self.bottom!r})"
-
     def __len__(self) -> int:
         return len(self.top)
 
@@ -99,20 +78,13 @@ class TwoRowedArray:
         return f"{format_word(self.top)} / {format_word(self.bottom)}"
 
     def is_lexicographic(self) -> bool:
-        for i in range(len(self) - 1):
-            if self.top[i] > self.top[i + 1]:
-                return False
-            if self.top[i] == self.top[i + 1] and self.bottom[i] > self.bottom[i + 1]:
-                return False
-        return True
+        top, bottom = self.top, self.bottom
+        return all(map(le, zip(top, bottom), zip(top[1:], bottom[1:])))
 
     def is_reverse_lexicographic(self) -> bool:
-        for i in range(len(self) - 1):
-            if self.top[i] > self.top[i + 1]:
-                return False
-            if self.top[i] == self.top[i + 1] and self.bottom[i] < self.bottom[i + 1]:
-                return False
-        return True
+        # (t_i, b_{i+1}) <= (t_{i+1}, b_i): bottoms weakly decrease where tops tie
+        top, bottom = self.top, self.bottom
+        return all(map(le, zip(top, bottom[1:]), zip(top[1:], bottom)))
 
     def is_valid(self, mode: Mode) -> bool:
         return mode_spec(mode).is_valid_array(self)

@@ -14,8 +14,10 @@ Tableau kinds:
 * standard: lPS (equivalently rPS) with pairwise-distinct symbols.
 * recording: standard with content exactly ``{1, ..., size}``.
 
-Instances are value objects: treat them as immutable, compare structurally,
-and hash freely.
+Tableaux, two-rowed arrays and dashed patterns share one immutable value
+base: assigning or deleting a field raises ``AttributeError``, equality and
+hashing go by the fields, and pickling and copying rebuild through the public
+constructor, which checks the fields again.
 """
 
 from __future__ import annotations
@@ -29,7 +31,42 @@ from .words import Direction, Evaluation, StandardizedSymbol, Symbol, Word, chec
 Shape = tuple[int, ...]
 
 
-class Tableau:
+class _Value:
+    """Immutable value over the fields its subclass lists in ``__slots__``.
+
+    Equality holds between instances of the same class only, the hash is the
+    hash of the field tuple, and the ``repr`` is the frozen-dataclass one.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy would otherwise restore the slots through __setattr__
+        return type(self), self._fields()
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Tableau(_Value):
     """Composition-shaped arrangement of symbols, columns bottom-to-top.
 
     ``Tableau(columns)`` checks that columns are nonempty and that all symbols
@@ -55,9 +92,7 @@ class Tableau:
         object.__setattr__(t, "columns", tuple(map(tuple, columns)))
         return t
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("Tableau is immutable")
-
+    # direct, not through _fields: verify compares and hashes ~10^5 tableaux
     def __eq__(self, other: Any) -> bool:
         return isinstance(other, Tableau) and self.columns == other.columns
 
@@ -86,6 +121,8 @@ class Tableau:
 
     def entry(self, column: int, row: int) -> Symbol:
         """Symbol at 1-based column-row position (column, row), rows from the bottom."""
+        if column < 1 or row < 1:
+            raise IndexError(f"no box at position ({column}, {row})")
         return self.columns[column - 1][row - 1]
 
     def evaluation(self, alphabet_size: int) -> Evaluation:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -146,6 +147,18 @@ def test_two_rowed_array_validation_and_parsing():
             TwoRowedArray.from_json(bad)
     assert arr.is_lexicographic() and not arr.is_reverse_lexicographic()
     assert not TwoRowedArray(top=(2, 1), bottom=(1, 1)).is_reverse_lexicographic()
+
+
+def test_array_order_predicates_match_sorting():
+    # every array over A_3 of length <= 4: an l-array lists its cells sorted,
+    # an r-array sorted by top and then by decreasing bottom
+    for length in range(5):
+        for top in itertools.product((1, 2, 3), repeat=length):
+            for bottom in itertools.product((1, 2, 3), repeat=length):
+                arr = TwoRowedArray(top, bottom)
+                cells = list(zip(top, bottom))
+                assert arr.is_lexicographic() == (cells == sorted(cells))
+                assert arr.is_reverse_lexicographic() == (cells == sorted(cells, key=lambda c: (c[0], -c[1])))
 
 
 def test_array_rows_must_hold_symbols():

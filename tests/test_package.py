@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import doctest
 import os
 import pickle
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pstab
-from pstab import DashedPattern, InvalidInputError, TwoRowedArray
+from pstab import DashedPattern, InvalidInputError, Tableau, TableauPair, TwoRowedArray
 from pstab.insertion import MODE_SPECS, ModeSpec
 
 # every name the package exported before the oracle was loaded on demand
@@ -100,7 +101,15 @@ VALUES = [
     (TwoRowedArray, {"top": (1, 1, 2), "bottom": (3, 4, 2)}, {"top": (1, 1, 2), "bottom": (3, 4, 3)}),
     (DashedPattern, {"blocks": ((3, 1), (2,))}, {"blocks": ((3,), (1,), (2,))}),
     (ModeSpec, MODE_SPECS["lps"]._asdict(), MODE_SPECS["rps"]._asdict()),
+    (Tableau, {"columns": ((1, 2), (3,))}, {"columns": ((1,), (2, 3))}),
+    (
+        TableauPair,
+        {"p": Tableau([[1, 2], [3]]), "q": Tableau([[1, 3], [2]])},
+        {"p": Tableau([[1, 2], [3]]), "q": Tableau([[1, 2], [3]])},
+    ),
 ]
+# a tableau prints as its column lists and hashes as its columns
+OWN_REPR_AND_HASH = {Tableau: ("Tableau([[1, 2], [3]])", hash(((1, 2), (3,))))}
 
 
 @pytest.mark.parametrize("cls, fields, other_fields", VALUES, ids=[cls.__name__ for cls, *_ in VALUES])
@@ -109,7 +118,8 @@ def test_value_classes_keep_the_frozen_dataclass_semantics(cls, fields, other_fi
     assert value == cls(*fields.values()) and hash(value) == hash(cls(*fields.values()))
     assert value != cls(**other_fields)
     reference = dataclasses.make_dataclass(cls.__name__, list(fields), frozen=True)
-    assert repr(value) == repr(reference(**fields))
+    expected = OWN_REPR_AND_HASH.get(cls, (repr(reference(**fields)), hash(tuple(fields.values()))))
+    assert (repr(value), hash(value)) == expected
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(value, name, fields[name])
@@ -130,3 +140,15 @@ def test_value_classes_keep_the_frozen_dataclass_semantics(cls, fields, other_fi
 def test_value_classes_validate_with_their_messages(cls, args, message):
     with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         cls(*args)
+
+
+def test_unpickling_checks_the_fields_again():
+    forged = pickle.dumps(Tableau._trusted([[0]]))
+    with pytest.raises(InvalidInputError, match="^not a symbol: 0$"):
+        pickle.loads(forged)
+
+
+def test_readme_example_runs_as_a_doctest():
+    readme = Path(__file__).parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.attempted > 0 and result.failed == 0

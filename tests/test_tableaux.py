@@ -45,6 +45,14 @@ def test_construction_rejects_bad_symbols():
             Tableau(columns)
 
 
+def test_entry_refuses_positions_outside_the_tableau():
+    t = Tableau([[1, 2], [3]])
+    assert [t.entry(1, 1), t.entry(1, 2), t.entry(2, 1)] == [1, 2, 3]
+    for column, row in ((0, 1), (1, 0), (-1, 1), (2, 2), (3, 1)):
+        with pytest.raises(IndexError):
+            t.entry(column, row)
+
+
 def test_tableau_is_immutable_and_hashable():
     t = Tableau([[1, 2], [3]])
     with pytest.raises(AttributeError):
