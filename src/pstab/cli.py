@@ -14,9 +14,9 @@ import sys
 from typing import Iterable, Sequence
 
 from .correspondence import rsk, rsk_inverse
-from .counting import bell_hook, bell_rowsum, hook_count, parse_evaluation, parse_shape
+from .counting import bell_hook, bell_rowsum, count_lps, count_rps, hook_count, parse_evaluation, parse_shape
 from .errors import InvalidInputError, NotInStablePairsError, PSTabError
-from .insertion import TableauPair, TwoRowedArray, extended_insert, mode_spec
+from .insertion import TableauPair, TwoRowedArray, extended_insert
 from .tableaux import (
     classify,
     render_ascii,
@@ -164,7 +164,7 @@ def _print_count(value: int) -> None:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     ev = parse_evaluation(args.evaluation)
-    _print_count(mode_spec(args.mode).count(ev))
+    _print_count({"lps": count_lps, "rps": count_rps}[args.mode](ev))
     return 0
 
 

@@ -23,13 +23,14 @@ from .insertion import (
     ModeSpec,
     TableauPair,
     TwoRowedArray,
+    _checked_pair,
     _insert_pairs,
     _unwind,
     array_insert,
     extended_insert,
     mode_spec,
 )
-from .tableaux import _Value, classify
+from .tableaux import _Value
 from .words import StandardizedSymbol, Symbol, Word
 
 StablePairLevel = Literal["standard", "word", "array"]
@@ -48,8 +49,8 @@ class DashedPattern(_Value):
 
     blocks: tuple[tuple[int, ...], ...]
 
-    def __init__(self, blocks: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "blocks", blocks)
+    def __init__(self, blocks: Iterable[Iterable[int]]):
+        object.__setattr__(self, "blocks", tuple(map(tuple, blocks)))
         symbols = self.flat()
         if sorted(symbols) != list(range(1, len(symbols) + 1)):
             raise InvalidInputError(f"pattern symbols must form a permutation of 1..{len(symbols)}")
@@ -113,30 +114,17 @@ def occurrences(word: Iterable[Symbol], pattern: DashedPattern | str) -> list[tu
 def _checked_spec(pair: TableauPair, mode: Mode, level: str) -> ModeSpec:
     """The mode's table entry, once ``pair`` has the kinds ``level`` requires.
 
-    Classifies each tableau once.  At the word and array levels the checked
-    tableaux must hold plain symbols: the pattern scan that defines these sets
-    standardizes them, and a standardized tableau has no standardization.
+    At the word and array levels, the tableaux that the set's pattern scan
+    standardizes must hold plain symbols.
     """
     spec = mode_spec(mode)
-    p, q = pair
-    if p.shape != q.shape:
-        raise InvalidInputError(f"tableau shapes differ: {p.shape} vs {q.shape}")
-    if level == "standard":
-        if not (classify(p).is_standard_ps and classify(q).is_standard_ps):
-            raise InvalidInputError("standard level requires two standard tableaux")
-        return spec
-    if level == "word":
-        if not getattr(classify(p), spec.flag):
-            raise InvalidInputError(f"first tableau is not an {spec.kind} tableau")
-        if not classify(q).is_recording:
-            raise InvalidInputError("word level requires a recording tableau")
-        plain = (p,)
-    elif level == "array":
-        if not (getattr(classify(p), spec.flag) and getattr(classify(q), spec.flag)):
-            raise InvalidInputError(f"array level requires two {spec.kind} tableaux")
-        plain = (p, q)
-    else:
+    if level not in LEVELS:
         raise InvalidInputError(f"level must be one of {LEVELS}, got {level!r}")
+    # the classify flags each level requires of the first and second tableau
+    flags = {"standard": ("is_standard_ps",) * 2, "word": (spec.flag, "is_recording"),
+             "array": (spec.flag,) * 2}
+    _checked_pair(pair, *flags[level])
+    plain = () if level == "standard" else pair[:1] if level == "word" else pair
     if any(t and isinstance(t.columns[0][0], StandardizedSymbol) for t in plain):
         raise InvalidInputError("tableau is already standardized")
     return spec

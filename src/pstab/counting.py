@@ -156,42 +156,39 @@ def count_rps_rec(m: Iterable[int]) -> Count:
     return rec(ev)
 
 
+def _stirling_row(n: int, k: int) -> list[Count]:
+    """S(n, 0), ..., S(n, k) by the row recurrence S(a, b) = b * S(a - 1, b) + S(a - 1, b - 1)."""
+    row = [1]  # row[b] = S(a, b) for b <= min(a, k), from a = 0
+    for _ in range(n):
+        if len(row) <= k:
+            row.append(0)  # S(a - 1, a) = 0
+        row = [0] + [b * row[b] + row[b - 1] for b in range(1, len(row))]
+    return row
+
+
 def bell_rowsum(n: int) -> Count:
     """n-th Bell number as the sum over 0-1 bottom rows of standard tableaux.
 
-    A dynamic program over the running sum of the 0-1 row (starting at 1):
-    a 0 multiplies by the current sum and a 1 increments it, so O(n^2)
-    integer steps instead of the 2^(n-1) terms of
-    :func:`pstab.oracle.bell_rowsum_terms`, whose sum checks it.  Equals
+    Over the running sum of the 0-1 row (from 1), a 0 multiplies by the sum
+    and a 1 adds one, so the weight ending at sum b is S(n, b): the sum of
+    :func:`_stirling_row`, O(n^2) integer steps instead of the 2^(n-1) terms
+    of :func:`pstab.oracle.bell_rowsum_terms`, whose sum checks it.  Equals
     ``count_lps((1,) * n)`` and ``count_rps((1,) * n)``.
     """
     if n < 1:
         raise InvalidInputError("n must be at least 1")
-    ways = [0, 1]  # ways[acc]
-    for _ in range(n - 1):
-        step = [0] * (len(ways) + 1)
-        for acc, w in enumerate(ways):
-            step[acc] += w * acc
-            step[acc + 1] += w
-        ways = step
-    return sum(ways)
+    return sum(_stirling_row(n, n))
 
 
 def stirling2(n: int, k: int) -> Count:
     """Stirling number of the second kind: partitions of n elements into k blocks.
 
     Also the number of standard tableaux over an n-symbol alphabet with
-    exactly k columns.  Out-of-range ``k`` gives 0.  A row DP over
-    S(a, b) = b * S(a - 1, b) + S(a - 1, b - 1): O(n * k) integer steps.
+    exactly k columns.  Out-of-range ``k`` gives 0.
     """
     if n < 1:
         raise InvalidInputError("n must be at least 1")
-    if not 0 <= k <= n:
-        return 0
-    row = [1] + [0] * k  # row[b] = S(a, b), from a = 0
-    for _ in range(n):
-        row = [0] + [b * row[b] + row[b - 1] for b in range(1, k + 1)]
-    return row[k]
+    return _stirling_row(n, k)[k] if 0 <= k <= n else 0
 
 
 def compositions(n: int) -> Iterator[Shape]:

@@ -21,7 +21,6 @@ from bisect import bisect_left, bisect_right
 from operator import itemgetter, le
 from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
-from .counting import count_lps, count_rps
 from .errors import InvalidInputError
 from .tableaux import Tableau, _Value, classify
 from .words import Direction, Symbol, Word, check_word, format_word, parse_word
@@ -108,33 +107,36 @@ class TwoRowedArray(_Value):
 
 
 class ModeSpec(NamedTuple):
-    """The order choices that tell lPS from rPS.
+    """The order choices that tell lPS from rPS; callers name the counts.
 
-    ``bisect(heads, value)`` is the column a value bumps, or ``len(heads)``
-    for a new column.  Reverse insertion takes the largest label from the last
-    (``pick_last_top``) or else the first of the columns it tops.
+    ``flag`` is the :func:`~pstab.tableaux.classify` flag of the mode's
+    tableaux.  ``bisect(heads, value)`` is the column a value bumps, or
+    ``len(heads)`` for a new column.  Reverse insertion takes the largest
+    label from the last (``pick_last_top``) or else the first of the columns
+    it tops.
     """
 
-    kind: str
     direction: Direction
     flag: str
     bisect: Callable[[Sequence[Symbol], Symbol], int]
     is_valid_array: Callable[[TwoRowedArray], bool]
     array_kind: str
     pick_last_top: bool
-    count: Callable[[Iterable[int]], int]
 
 
 MODE_SPECS: dict[str, ModeSpec] = {
     "lps": ModeSpec(
-        "lPS", "left", "is_lps", bisect_right, TwoRowedArray.is_lexicographic,
-        "lexicographic (l-array)", True, count_lps,
+        "left", "is_lps", bisect_right, TwoRowedArray.is_lexicographic,
+        "lexicographic (l-array)", True,
     ),
     "rps": ModeSpec(
-        "rPS", "right", "is_rps", bisect_left, TwoRowedArray.is_reverse_lexicographic,
-        "reverse lexicographic (r-array)", False, count_rps,
+        "right", "is_rps", bisect_left, TwoRowedArray.is_reverse_lexicographic,
+        "reverse lexicographic (r-array)", False,
     ),
 }
+
+# the kind of tableau each classify flag names, as _checked_pair's refusals say it
+_KINDS = {"is_lps": "an lPS", "is_rps": "an rPS", "is_standard_ps": "a standard", "is_recording": "a recording"}
 
 
 def mode_spec(mode: str) -> ModeSpec:
@@ -143,6 +145,16 @@ def mode_spec(mode: str) -> ModeSpec:
     if spec is None:
         raise InvalidInputError(f"mode must be 'lps' or 'rps', got {mode!r}")
     return spec
+
+
+def _checked_pair(pair: TableauPair, p_flag: str | None, q_flag: str) -> None:
+    """Refuse ``pair`` unless its tableaux share a shape and have the named classify flags (None: any)."""
+    p, q = pair
+    if p.shape != q.shape:
+        raise InvalidInputError(f"tableau shapes differ: {p.shape} vs {q.shape}")
+    for name, t, flag in (("first", p, p_flag), ("second", q, q_flag)):
+        if flag is not None and not getattr(classify(t), flag):
+            raise InvalidInputError(f"{name} tableau is not {_KINDS[flag]} tableau")
 
 
 def _insert_pairs(items: Iterable[tuple[Symbol, Symbol]], spec: ModeSpec) -> TableauPair:
@@ -220,12 +232,7 @@ def reverse_insertion(pair: TableauPair, mode: Mode) -> TwoRowedArray:
     it the extracted array simply inserts to a different pair.
     """
     spec = mode_spec(mode)
-    p, q = pair
-    if p.shape != q.shape:
-        raise InvalidInputError(f"tableau shapes differ: {p.shape} vs {q.shape}")
-    for name, t in (("first", p), ("second", q)):
-        if not getattr(classify(t), spec.flag):
-            raise InvalidInputError(f"{name} tableau is not an {spec.kind} tableau")
+    _checked_pair(pair, spec.flag, spec.flag)
     return _unwind(pair, spec)
 
 
@@ -258,9 +265,5 @@ def read_by_recording(pair: TableauPair) -> Word:
     tableau.  For pairs produced by :func:`extended_insert` this returns the
     inserted word.
     """
-    p, q = pair
-    if p.shape != q.shape:
-        raise InvalidInputError(f"tableau shapes differ: {p.shape} vs {q.shape}")
-    if not classify(q).is_recording:
-        raise InvalidInputError("second tableau is not a recording tableau")
+    _checked_pair(pair, None, "is_recording")
     return _unwind(pair, MODE_SPECS["lps"]).bottom

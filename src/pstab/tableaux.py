@@ -26,7 +26,7 @@ import itertools
 from typing import Any, Iterable, NamedTuple
 
 from .errors import InvalidInputError
-from .words import Direction, Evaluation, StandardizedSymbol, Symbol, Word, check_word, evaluation
+from .words import Direction, Evaluation, StandardizedSymbol, Symbol, Word, check_word, evaluation, standardize
 
 Shape = tuple[int, ...]
 
@@ -202,34 +202,16 @@ def standardize_tableau(t: Tableau, direction: Direction) -> Tableau:
     to left, each bottom to top.  Either reading turns the tableau into a
     standard one over the indexed alphabet, with base symbols kept in place.
     """
-    kind = classify(t)
     if t.columns and isinstance(t.columns[0][0], StandardizedSymbol):
         raise InvalidInputError("tableau is already standardized")
-    if direction == "left":
-        if not kind.is_lps:
-            raise InvalidInputError("left standardization requires an lPS tableau")
-        positions = [
-            (j, r)
-            for j in range(len(t.columns))
-            for r in range(len(t.columns[j]) - 1, -1, -1)
-        ]
-    elif direction == "right":
-        if not kind.is_rps:
-            raise InvalidInputError("right standardization requires an rPS tableau")
-        positions = [
-            (j, r)
-            for j in range(len(t.columns) - 1, -1, -1)
-            for r in range(len(t.columns[j]))
-        ]
-    else:
-        raise InvalidInputError(f"direction must be 'left' or 'right', got {direction!r}")
-    seen: dict[Symbol, int] = {}
-    new_cols: list[list[StandardizedSymbol]] = [[None] * len(col) for col in t.columns]  # type: ignore[list-item]
-    for j, r in positions:
-        base = t.columns[j][r]
-        seen[base] = seen.get(base, 0) + 1
-        new_cols[j][r] = StandardizedSymbol(base, seen[base])
-    return Tableau._trusted(new_cols)
+    kind = classify(t)
+    if direction == "left" and not kind.is_lps:
+        raise InvalidInputError("left standardization requires an lPS tableau")
+    if direction == "right" and not kind.is_rps:
+        raise InvalidInputError("right standardization requires an rPS tableau")
+    # the right reading is the column reading reversed; standardize refuses other directions
+    indexed = iter(standardize(column_reading(t), direction))
+    return Tableau._trusted(tuple(itertools.islice(indexed, len(col)))[::-1] for col in t.columns)
 
 
 def destandardize_tableau(t: Tableau) -> Tableau:

@@ -118,6 +118,23 @@ def test_unrsk_exit_codes_by_input(capsys):
                 assert (code, out) == (2, "") and err.startswith("error:")
 
 
+@pytest.mark.parametrize("level", ["word", "array"])
+@pytest.mark.parametrize(
+    "p, q, message",
+    [
+        ([[1, 2]], [[1], [2]], "tableau shapes differ: (2,) vs (1, 1)"),
+        ([[2, 1]], [[1, 2]], "first tableau is not an lPS tableau"),
+        ([[1, 2]], [[2, 1]], "second tableau is not {} tableau"),
+    ],
+    ids=["shapes", "first", "second"],
+)
+def test_unrsk_refuses_bad_pairs_with_exit_2(capsys, level, p, q, message):
+    pair = json.dumps({"p": {"columns": p}, "q": {"columns": q}})
+    code, out, err = run(capsys, "unrsk", "--mode", "lps", "--level", level, pair)
+    kind = "a recording" if level == "word" else "an lPS"
+    assert (code, out, err) == (2, "", f"error: {message.format(kind)}\n")
+
+
 def test_unrsk_level_flag(capsys):
     pair = json.dumps({"p": {"columns": [[1, 2, 4], [2, 3, 6], [4]]},
                        "q": {"columns": [[1, 3, 6], [2, 4, 5], [7]]}})

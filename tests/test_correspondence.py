@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import permutations
 from math import factorial
 
@@ -22,7 +23,7 @@ from pstab import (
 )
 from pstab.oracle import enumerate_pstab, is_stable_pair_scan, mode_tableaux
 from pstab.counting import compositions
-from pstab.insertion import mode_spec
+from pstab.insertion import mode_spec, read_by_recording, reverse_insertion
 
 GOLDEN_PAIR = TableauPair(Tableau([[1, 2, 4], [2, 3, 6], [4]]), Tableau([[1, 3, 6], [2, 4, 5], [7]]))
 GOLDEN_ARRAY = TwoRowedArray(top=(1, 1, 2, 3, 3, 3, 4), bottom=(3, 4, 2, 1, 1, 2, 3))
@@ -93,6 +94,44 @@ def test_stable_pair_rejection_via_every_forbidden_combination():
 def test_pattern_constructor_rejects_empty_blocks():
     with pytest.raises(InvalidInputError):
         DashedPattern(((1, 2, 3), ()))
+
+
+def test_pattern_blocks_are_stored_as_tuples():
+    pattern = DashedPattern([[3, 1], [2]])
+    assert pattern == DashedPattern(((3, 1), (2,)))
+    assert hash(pattern) == hash(DashedPattern(((3, 1), (2,))))
+    assert repr(pattern) == "DashedPattern(blocks=((3, 1), (2,)))"
+
+
+# a tableau of every kind (lPS, rPS, standard, recording) and one of none
+ANY_KIND, NO_KIND = Tableau([[1, 2]]), Tableau([[2, 1]])
+# entry point, and the kinds it requires of the first and second tableau
+PAIR_CHECKS = {
+    "reverse_insertion": (lambda pair: reverse_insertion(pair, "lps"), "an lPS", "an lPS"),
+    "read_by_recording": (read_by_recording, None, "a recording"),
+    "is_stable_pair standard": (lambda pair: is_stable_pair(pair, "lps", "standard"), "a standard", "a standard"),
+    "is_stable_pair word": (lambda pair: is_stable_pair(pair, "rps", "word"), "an rPS", "a recording"),
+    "is_stable_pair array": (lambda pair: is_stable_pair(pair, "lps", "array"), "an lPS", "an lPS"),
+    "rsk_inverse word": (lambda pair: rsk_inverse(pair, "lps", "word"), "an lPS", "a recording"),
+    "rsk_inverse array": (lambda pair: rsk_inverse(pair, "rps", "array"), "an rPS", "an rPS"),
+}
+BAD_PAIRS = {
+    "shapes": (TableauPair(ANY_KIND, Tableau([[1], [2]])), "tableau shapes differ: (2,) vs (1, 1)"),
+    "first": (TableauPair(NO_KIND, ANY_KIND), "first tableau is not {p_kind} tableau"),
+    "second": (TableauPair(ANY_KIND, NO_KIND), "second tableau is not {q_kind} tableau"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_PAIRS)
+@pytest.mark.parametrize("entry", PAIR_CHECKS)
+def test_pair_refusals_name_the_tableau(entry, bad):
+    call, p_kind, q_kind = PAIR_CHECKS[entry]
+    pair, message = BAD_PAIRS[bad]
+    if bad == "first" and p_kind is None:
+        assert call(pair) == (1, 2)  # read_by_recording reads any first tableau
+        return
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message.format(p_kind=p_kind, q_kind=q_kind))}$"):
+        call(pair)
 
 
 def test_triple_classifier_names_all_dashed_shapes():

@@ -183,6 +183,35 @@ def test_stirling_closed_forms_far_beyond_the_recursion_limit():
     assert stirling2(n, 3) == (3**n - 3 * 2**n + 3) // 6
 
 
+def _stirling2_by_rows(n, k):
+    """The loop stirling2 ran before it shared bell_rowsum's row: a reference."""
+    if not 0 <= k <= n:
+        return 0
+    row = [1] + [0] * k
+    for _ in range(n):
+        row = [0] + [b * row[b] + row[b - 1] for b in range(1, k + 1)]
+    return row[k]
+
+
+def _bell_rowsum_by_running_sums(n):
+    """The loop bell_rowsum ran before it summed the Stirling row: a reference."""
+    ways = [0, 1]
+    for _ in range(n - 1):
+        step = [0] * (len(ways) + 1)
+        for acc, w in enumerate(ways):
+            step[acc] += w * acc
+            step[acc + 1] += w
+        ways = step
+    return sum(ways)
+
+
+def test_stirling_row_matches_the_old_loops():
+    for n in range(1, 61):
+        assert bell_rowsum(n) == _bell_rowsum_by_running_sums(n), n
+        for k in range(-1, n + 2):
+            assert stirling2(n, k) == _stirling2_by_rows(n, k), (n, k)
+
+
 def test_compositions_order_and_count():
     assert list(compositions(1)) == [(1,)]
     assert list(compositions(3)) == [(3,), (2, 1), (1, 2), (1, 1, 1)]

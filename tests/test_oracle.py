@@ -265,6 +265,18 @@ def test_verify_suite_detects_an_injected_formula_defect(monkeypatch):
     assert any("hook" in case.name for case in report.failures())
 
 
+def test_verify_suite_reaches_the_counts_by_name(monkeypatch):
+    import pstab.oracle as oracle
+
+    real = oracle.count_lps
+    monkeypatch.setattr(oracle, "count_lps", lambda ev: real(ev) + (len(ev) == 2))
+    report = verify_suite(max_n=2, budgets=Budgets(word_len=1, array_len=1, eval_sum=3))
+    assert not report.passed
+    failed = {case.name for case in report.failures()}
+    assert "lps tableau count, formula vs brute force" in failed
+    assert "rps tableau count, formula vs brute force" not in failed
+
+
 def test_verify_suite_turns_crashes_into_failing_cases(monkeypatch):
     import pstab.oracle as oracle
 

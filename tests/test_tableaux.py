@@ -20,7 +20,7 @@ from pstab import (
     tableau_to_json,
 )
 from pstab.counting import compositions
-from pstab.oracle import _split_filling
+from pstab.oracle import _split_filling, mode_tableaux
 from pstab.tableaux import TableauClass
 
 
@@ -227,6 +227,53 @@ def test_standardize_tableau_wrong_class_is_an_error():
     # a repeated symbol inside a column rules out the lPS reading entirely
     with pytest.raises(InvalidInputError):
         standardize_tableau(Tableau([[1, 2], [1, 2, 3], [2, 2, 3], [3, 3], [3]]), "left")
+
+
+def _standardize_tableau_by_positions(t, direction):
+    """The positions walk standardize_tableau used before it read through
+    words.standardize: a reference for the tests below."""
+    kind = classify(t)
+    if t.columns and isinstance(t.columns[0][0], StandardizedSymbol):
+        raise InvalidInputError("tableau is already standardized")
+    if direction == "left":
+        if not kind.is_lps:
+            raise InvalidInputError("left standardization requires an lPS tableau")
+        positions = [(j, r) for j in range(len(t.columns)) for r in range(len(t.columns[j]) - 1, -1, -1)]
+    elif direction == "right":
+        if not kind.is_rps:
+            raise InvalidInputError("right standardization requires an rPS tableau")
+        positions = [(j, r) for j in range(len(t.columns) - 1, -1, -1) for r in range(len(t.columns[j]))]
+    else:
+        raise InvalidInputError(f"direction must be 'left' or 'right', got {direction!r}")
+    seen = {}
+    new_cols = [[None] * len(col) for col in t.columns]
+    for j, r in positions:
+        base = t.columns[j][r]
+        seen[base] = seen.get(base, 0) + 1
+        new_cols[j][r] = StandardizedSymbol(base, seen[base])
+    return Tableau(new_cols)
+
+
+def _outcome(standardizer, t, direction):
+    try:
+        return standardizer(t, direction)
+    except InvalidInputError as exc:
+        return f"refused: {exc}"
+
+
+def test_standardize_tableau_matches_the_positions_walk():
+    checked = refused = 0
+    for mode, direction in (("lps", "left"), ("rps", "right")):
+        for boxes in range(6):
+            for t in mode_tableaux(3, boxes, mode):
+                # both directions (refused where the tableau lacks the kind), an
+                # unknown direction, and an already standardized tableau
+                for case in ((t, "left"), (t, "right"), (t, "up"), (standardize_tableau(t, direction), direction)):
+                    expected = _outcome(_standardize_tableau_by_positions, *case)
+                    assert _outcome(standardize_tableau, *case) == expected, case
+                    refused += isinstance(expected, str)
+                checked += 1
+    assert checked > 400 and refused > 1000
 
 
 @given(tableaux)
