@@ -79,7 +79,8 @@ __version__ = "0.1.0"
 _ORACLE_NAMES = frozenset("""
     Budgets CaseResult VerificationReport bell_hook_sum bell_rowsum_terms bracket_sum_lps
     bracket_sum_rps count_set_partitions count_tableaux_bruteforce enumerate_pstab
-    fiber_bruteforce fiber_census is_stable_pair_scan verify_suite words_with_evaluation
+    fiber_bruteforce fiber_census insertion_image is_stable_pair_scan verify_suite
+    words_with_evaluation
 """.split())
 # a star import names the oracle too, and so loads it
 __all__ = [name for name in globals() if not name.startswith("_")] + sorted(_ORACLE_NAMES)

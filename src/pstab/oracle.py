@@ -227,13 +227,64 @@ def fiber_bruteforce(
     return fiber_census(symbols, tuple(shape)).get(target, 0)
 
 
-def count_tableaux_bruteforce(ev: Sequence[int], mode: Mode, max_total: int = 10) -> int:
-    """Number of distinct tableaux obtained by inserting every word with
-    evaluation ``ev``."""
+def insertion_image(ev: Sequence[int], mode: Mode, max_total: int = 10) -> set[Tableau]:
+    """``{ps_insert(w, mode) for w in words_with_evaluation(ev)}``, by one walk.
+
+    A depth-first walk over the words keeps one insertion state and undoes a
+    step as it backs out, so words that share a prefix share its steps.  No
+    state is merged: every word is inserted in full and read at its leaf.
+    """
+    _normalize_evaluation(ev)
     total = sum(ev)
     if total > max_total:
         raise BudgetExceededError(f"evaluation sum {total} exceeds the budget of {max_total}")
-    return len({ps_insert(w, mode) for w in words_with_evaluation(ev)})
+    bisect = mode_spec(mode).bisect
+    symbols = [a + 1 for a, m in enumerate(ev) if m]
+    left = [m for m in ev if m]
+    n, last = len(symbols), total - 1
+    cols: list[tuple[Symbol, ...]] = []  # bottom box first, as in a Tableau
+    heads: list[Symbol] = []
+    path: list[tuple[int, int, tuple[Symbol, ...]]] = []  # (symbol index, column, the column before)
+    keys: set[tuple[tuple[Symbol, ...], ...]] = set()
+    i = 0
+    while True:
+        while i < n and not left[i]:
+            i += 1
+        if i < n:  # insert symbol i at the next position
+            value = symbols[i]
+            m = bisect(heads, value)
+            if m == len(heads):
+                cols.append(())
+                heads.append(value)
+            old = cols[m]
+            cols[m] = (value,) + old
+            if len(path) < last:
+                left[i] -= 1
+                heads[m] = value
+                path.append((i, m, old))
+                i = 0
+                continue
+            keys.add(tuple(cols))  # a leaf: the one symbol left completes the word
+            i = n
+        elif path:  # every symbol tried at this position: undo the step that led here
+            i, m, old = path.pop()
+            left[i] += 1
+            i += 1
+        else:
+            return {Tableau._trusted(key) for key in keys}
+        if old:  # undo: restore the bumped column, or drop the one the step started
+            cols[m] = old
+            heads[m] = old[0]
+        else:
+            cols.pop()
+            heads.pop()
+
+
+def count_tableaux_bruteforce(ev: Sequence[int], mode: Mode, max_total: int = 10) -> int:
+    """Number of distinct tableaux obtained by inserting every word with
+    evaluation ``ev``: the size of :func:`insertion_image`, which inserts
+    all of them along one walk that shares the steps of common prefixes."""
+    return len(insertion_image(ev, mode, max_total))
 
 
 def count_set_partitions(n: int, max_n: int = 12) -> int:
@@ -712,10 +763,13 @@ def _stirling_by_columns(n: int, item: tuple[int, int]) -> Iterator[str]:
 
 def _bottom_row_bounds(ev: tuple[int, ...]) -> Iterator[str]:
     lo, hi = max(ev), sum(ev)
-    for t in {ps_insert(w, "lps") for w in words_with_evaluation(ev)}:
+    lps, rps = insertion_image(ev, "lps"), insertion_image(ev, "rps")
+    if not (lps and rps):
+        yield f"ev={ev}: empty insertion image"
+    for t in lps:
         if not lo <= len(t.columns) <= hi:
             yield f"ev={ev}, shape={t.shape}"
-    for t in {ps_insert(w, "rps") for w in words_with_evaluation(ev)}:
+    for t in rps:
         if not 1 <= len(t.columns) <= len(ev):
             yield f"rps ev={ev}, shape={t.shape}"
 

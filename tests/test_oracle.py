@@ -4,6 +4,7 @@ from itertools import permutations, product
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pstab import (
     BudgetExceededError,
@@ -18,6 +19,7 @@ from pstab import (
     fiber_bruteforce,
     fiber_census,
     hook_count,
+    insertion_image,
     ps_insert,
     verify_suite,
     words_with_evaluation,
@@ -70,6 +72,39 @@ def test_count_tableaux_bruteforce_worked_values():
 def test_count_tableaux_bruteforce_budget():
     with pytest.raises(BudgetExceededError):
         count_tableaux_bruteforce((6, 6), "lps", max_total=10)
+
+
+def _inserted_one_by_one(ev, mode):
+    return {ps_insert(w, mode) for w in words_with_evaluation(ev)}
+
+
+def test_insertion_image_is_the_set_of_insertions():
+    checked = 0
+    for entries in range(1, 5):
+        for ev in product(range(8), repeat=entries):
+            if not 1 <= sum(ev) <= 7:
+                continue
+            for mode in ("lps", "rps"):
+                assert insertion_image(ev, mode) == _inserted_one_by_one(ev, mode), (ev, mode)
+            checked += 1
+    assert checked == 7 + 35 + 119 + 329
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 8), min_size=1, max_size=6).filter(lambda ev: 0 < sum(ev) <= 8),
+       st.sampled_from(["lps", "rps"]))
+def test_insertion_image_matches_insertion_with_zero_entries(ev, mode):
+    assert insertion_image(ev, mode) == _inserted_one_by_one(ev, mode)
+
+
+def test_insertion_image_refusals():
+    for sweep in (insertion_image, count_tableaux_bruteforce):
+        with pytest.raises(InvalidInputError, match="^evaluation must have at least one positive entry$"):
+            sweep((0, 0), "lps")
+        with pytest.raises(BudgetExceededError, match="^evaluation sum 12 exceeds the budget of 10$"):
+            sweep((6, 6), "lps", max_total=10)
+        with pytest.raises(InvalidInputError, match="^mode must be"):
+            sweep((1, 1), "xps")
 
 
 def test_enumerate_pstab_worked_examples():
@@ -275,6 +310,36 @@ def test_verify_suite_reaches_the_counts_by_name(monkeypatch):
     failed = {case.name for case in report.failures()}
     assert "lps tableau count, formula vs brute force" in failed
     assert "rps tableau count, formula vs brute force" not in failed
+
+
+COUNT_FAMILIES = {f"{mode} tableau count, formula vs brute force" for mode in ("lps", "rps")}
+
+
+def test_verify_suite_catches_a_tableau_missing_from_the_insertion_image(monkeypatch):
+    import pstab.oracle as oracle
+
+    real = oracle.insertion_image
+
+    def drop_one(ev, mode, max_total=10):
+        image = real(ev, mode, max_total)
+        if sum(m > 0 for m in ev) >= 2:
+            image.pop()
+        return image
+
+    monkeypatch.setattr(oracle, "insertion_image", drop_one)
+    report = verify_suite(max_n=2, budgets=Budgets(word_len=1, array_len=1, eval_sum=3))
+    assert {case.name for case in report.failures()} == COUNT_FAMILIES
+
+
+def test_verify_suite_fails_the_counts_on_an_empty_insertion_image(monkeypatch):
+    import pstab.oracle as oracle
+
+    monkeypatch.setattr(oracle, "insertion_image", lambda ev, mode, max_total=10: set())
+    report = verify_suite(max_n=2, budgets=Budgets(word_len=1, array_len=1, eval_sum=3))
+    counts = [case for case in report.cases if case.name in COUNT_FAMILIES]
+    assert counts and not any(case.passed for case in counts)
+    assert all(case.oracle == "0" for case in counts)
+    assert {case.name for case in report.failures()} == COUNT_FAMILIES | {"bottom row length within its bounds"}
 
 
 def test_verify_suite_turns_crashes_into_failing_cases(monkeypatch):
