@@ -274,10 +274,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NotInStablePairsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvalidInputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PSTabError as exc:
+    except (PSTabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -180,20 +180,10 @@ def _insert_pairs(items: Iterable[tuple[Symbol, Symbol]], spec: ModeSpec) -> Tab
 def ps_insert(word: Iterable[Symbol], mode: Mode) -> Tableau:
     """Insert the symbols of ``word`` left to right into an lPS or rPS tableau.
 
-    The loop of :func:`_insert_pairs` without the recording tableau.
+    The first component of :func:`extended_insert`: plain and extended
+    insertion share the one loop, :func:`_insert_pairs`.
     """
-    bisect = mode_spec(mode).bisect
-    cols: list[list[Symbol]] = []
-    heads: list[Symbol] = []
-    for value in check_word(word):
-        m = bisect(heads, value)
-        if m == len(heads):
-            cols.append([value])
-            heads.append(value)
-        else:
-            cols[m].append(value)
-            heads[m] = value
-    return Tableau._trusted(col[::-1] for col in cols)
+    return extended_insert(word, mode).p
 
 
 def extended_insert(word: Iterable[Symbol], mode: Mode) -> TableauPair:

@@ -221,32 +221,25 @@ def destandardize_tableau(t: Tableau) -> Tableau:
     return Tableau._trusted(tuple(sym.base for sym in col) for col in t.columns)
 
 
+def _rows(t: Tableau, blank: str) -> list[list[str]]:
+    """Cell texts by row, top row first; columns are bottom-justified, with ``blank`` above a shorter one."""
+    height = max(map(len, t.columns), default=0)
+    return [[str(col[row]) if row < len(col) else blank for col in t.columns] for row in reversed(range(height))]
+
+
 def render_ascii(t: Tableau) -> str:
     """Render rows top to bottom with the bottom row last, columns bottom-justified."""
     if not t.columns:
         return "(empty)"
-    widths = [max(len(str(sym)) for sym in col) for col in t.columns]
-    height = max(len(col) for col in t.columns)
-    lines = []
-    for row in range(height - 1, -1, -1):
-        cells = []
-        for j, col in enumerate(t.columns):
-            text = str(col[row]) if row < len(col) else ""
-            cells.append(text.rjust(widths[j]))
-        lines.append(" ".join(cells).rstrip())
-    return "\n".join(lines)
+    rows = _rows(t, "")
+    widths = [max(map(len, cells)) for cells in zip(*rows)]
+    return "\n".join(" ".join(map(str.rjust, cells, widths)).rstrip() for cells in rows)
 
 
 def render_latex(t: Tableau) -> str:
     """Emit a ytableau environment, rows top to bottom, bottom row last."""
-    if not t.columns:
-        return "\\begin{ytableau}\n\\none\n\\end{ytableau}"
-    height = max(len(col) for col in t.columns)
-    rows = []
-    for row in range(height - 1, -1, -1):
-        cells = [str(col[row]) if row < len(col) else "\\none" for col in t.columns]
-        rows.append(" & ".join(cells))
-    body = " \\\\\n".join(rows)
+    rows = _rows(t, "\\none") or [["\\none"]]
+    body = " \\\\\n".join(" & ".join(cells) for cells in rows)
     return f"\\begin{{ytableau}}\n{body}\n\\end{{ytableau}}"
 
 

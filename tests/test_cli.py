@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from pstab import count_lps_rec, extended_insert, standardize, tableau_to_json
+from pstab import (
+    BudgetExceededError, InternalError, InvalidInputError, NotInStablePairsError,
+    count_lps_rec, extended_insert, standardize, tableau_to_json,
+)
 from pstab.cli import _render_pair, main
 
 GOLDEN_ASCII = (
@@ -196,6 +199,18 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "insert", "--mode", "lps")
     assert code == 2
+
+
+def test_every_package_error_and_os_error_exits_2(capsys, monkeypatch):
+    for error, code in (
+        (InternalError, 2), (BudgetExceededError, 2), (InvalidInputError, 2), (OSError, 2),
+        (NotInStablePairsError, 3),
+    ):
+        def fail(*args, error=error):
+            raise error(f"{error.__name__} raised")
+
+        monkeypatch.setattr("pstab.cli.hook_count", fail)
+        assert run(capsys, "hook", "--n", "4", "--shape", "3,1") == (code, "", f"error: {error.__name__} raised\n")
 
 
 @pytest.mark.parametrize("mode", ["lps", "rps"])

@@ -193,7 +193,7 @@ BAD_WORDS = [
 @pytest.mark.parametrize("word", BAD_WORDS)
 @pytest.mark.parametrize("mode", ["lps", "rps"])
 def test_insertion_rejects_bad_symbols(word, mode):
-    # ps_insert has its own loop but the same boundary: same refusal, same message
+    # ps_insert goes through extended_insert, so it has the same boundary: same refusal, same message
     with pytest.raises(InvalidInputError) as plain:
         ps_insert(word, mode)
     with pytest.raises(InvalidInputError) as extended:

@@ -346,12 +346,25 @@ def test_render_ascii_bottom_row_last():
     assert render_ascii(t) == "4 6\n2 3\n1 2 4"
     assert render_ascii(Tableau()) == "(empty)"
     assert render_ascii(Tableau([[10, 2]])) == " 2\n10"
+    # the tallest column need not be the first; a shorter column leaves a blank above it
+    assert render_ascii(Tableau([[1], [2, 3, 4], [5, 6]])) == "  4\n  3 6\n1 2 5"
+    assert render_ascii(Tableau([[10, 12], [3], [100, 200, 300]])) == "     300\n12   200\n10 3 100"
+    assert render_ascii(Tableau([[S(4, 1), S(5, 1)], [S(4, 2)]])) == "5_1\n4_1 4_2"
 
 
 def test_render_latex():
     t = Tableau([[1, 2], [3]])
     assert render_latex(t) == "\\begin{ytableau}\n2 & \\none \\\\\n1 & 3\n\\end{ytableau}"
     assert render_latex(Tableau()) == "\\begin{ytableau}\n\\none\n\\end{ytableau}"
+    assert render_latex(Tableau([[1], [2, 3, 4], [5, 6]])) == (
+        "\\begin{ytableau}\n\\none & 4 & \\none \\\\\n\\none & 3 & 6 \\\\\n1 & 2 & 5\n\\end{ytableau}"
+    )
+    assert render_latex(Tableau([[10, 12], [3], [100, 200, 300]])) == (
+        "\\begin{ytableau}\n\\none & \\none & 300 \\\\\n12 & \\none & 200 \\\\\n10 & 3 & 100\n\\end{ytableau}"
+    )
+    assert render_latex(Tableau([[S(4, 1), S(5, 1)], [S(4, 2)]])) == (
+        "\\begin{ytableau}\n5_1 & \\none \\\\\n4_1 & 4_2\n\\end{ytableau}"
+    )
 
 
 def test_json_rejects_non_list_columns():
