@@ -544,12 +544,12 @@ def _positive_evaluations(max_sum: int, max_parts: int) -> list[tuple[int, ...]]
     return sorted(set(out))
 
 
-def _standard_pairs_over(n: int) -> Iterator[TableauPair]:
-    for lam in compositions(n):
-        tabs = enumerate_pstab(tuple(range(1, n + 1)), lam, method="direct")
-        for p in tabs:
-            for q in tabs:
-                yield TableauPair(p, q)
+def _pairs_by_shape(firsts: Iterable[Tableau], seconds: Iterable[Tableau]) -> Iterator[TableauPair]:
+    """Each first tableau paired with every second tableau of its shape."""
+    by_shape: dict[Shape, list[Tableau]] = {}
+    for q in seconds:
+        by_shape.setdefault(q.shape, []).append(q)
+    return (TableauPair(p, q) for p in firsts for q in by_shape[p.shape])
 
 
 # ---------------------------------------------------------------------------
@@ -680,23 +680,15 @@ def _check_stable_set(
 
 
 def _word_stable_set(mode: Mode, alphabet_size: int, boxes: int) -> Iterator[str]:
-    recording = {
-        lam: enumerate_pstab(tuple(range(1, boxes + 1)), lam, method="direct")
-        for lam in compositions(boxes)
-    }
-    candidates = (
-        TableauPair(p, q) for p in mode_tableaux(alphabet_size, boxes, mode) for q in recording[p.shape]
-    )
+    candidates = _pairs_by_shape(mode_tableaux(alphabet_size, boxes, mode), enumerate_pstab(range(1, boxes + 1)))
     image = {rsk(w, mode) for w in words_over(alphabet_size, boxes)}
     for problem in _check_stable_set(mode, "word", candidates, image)[1]:
         yield f"{boxes} boxes: {problem}"
 
 
 def _array_stable_set(mode: Mode, alphabet_size: int, boxes: int) -> Iterator[str]:
-    by_shape: dict[Shape, list[Tableau]] = {}
-    for t in mode_tableaux(alphabet_size, boxes, mode):
-        by_shape.setdefault(t.shape, []).append(t)
-    candidates = (TableauPair(p, q) for group in by_shape.values() for p in group for q in group)
+    tabs = mode_tableaux(alphabet_size, boxes, mode)
+    candidates = _pairs_by_shape(tabs, tabs)
     image = {rsk(arr, mode) for arr in arrays_over(alphabet_size, boxes, mode)}
     for problem in _check_stable_set(mode, "array", candidates, image)[1]:
         yield f"{boxes} boxes: {problem}"
@@ -800,7 +792,8 @@ def _standard_stable_pairs(n: int) -> tuple[str, str]:
     problems: list[str] = []
     if len(image) != factorial(n):
         problems.append(f"insertion not injective on {n}!")
-    members, found = _check_stable_set("lps", "standard", _standard_pairs_over(n), set(image))
+    tabs = enumerate_pstab(range(1, n + 1))
+    members, found = _check_stable_set("lps", "standard", _pairs_by_shape(tabs, tabs), set(image))
     problems += found
     observed = f"{members} stable pairs" + ("" if not problems else "; " + problems[0])
     return f"{factorial(n)} stable pairs", observed

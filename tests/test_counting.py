@@ -134,8 +134,9 @@ def test_bell_rowsum_worked_values():
     assert bell_rowsum(1) == 1
     assert bell_rowsum_terms(1) == [1]
     assert bell_rowsum(5) == 52
-    with pytest.raises(InvalidInputError):
-        bell_rowsum(0)
+    for refused in (bell_rowsum, bell_rowsum_terms):
+        with pytest.raises(InvalidInputError):
+            refused(0)
 
 
 def test_bell_hook_rejects_nonpositive():

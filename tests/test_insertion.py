@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from pstab import (
+    DashedPattern,
     InvalidInputError,
     StandardizedSymbol,
     Tableau,
@@ -138,6 +139,8 @@ def test_two_rowed_array_validation_and_parsing():
         TwoRowedArray(top=(1, 2), bottom=(1,))
     arr = TwoRowedArray.parse("1 1 2 3 3 3 4 / 3 4 2 1 1 2 3")
     assert arr == GOLDEN_ARRAY
+    # another value class, or the field tuple, is never equal to an array
+    assert arr != DashedPattern(((1,),)) and arr != (arr.top, arr.bottom)
     assert str(arr) == "1 1 2 3 3 3 4 / 3 4 2 1 1 2 3"
     assert TwoRowedArray.from_json(arr.to_json()) == arr
     with pytest.raises(InvalidInputError):

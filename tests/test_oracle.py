@@ -342,6 +342,48 @@ def test_verify_suite_fails_the_counts_on_an_empty_insertion_image(monkeypatch):
     assert {case.name for case in report.failures()} == COUNT_FAMILIES | {"bottom row length within its bounds"}
 
 
+def _reversed_words(real):
+    """``real`` with every word it returns reversed; arrays pass through."""
+    def defect(*args):
+        out = real(*args)
+        return out[::-1] if isinstance(out, tuple) else out
+
+    return defect
+
+
+WORD_SWEEP = "24 violations, first: 1 2: "
+WORD_SETS = "1 violations, first: 3 boxes: round trip and pattern scan disagree on 4 pairs"
+# a defect injected into one of the oracle's bindings, and the (case, observation) pairs it fails
+DEFECTS = {
+    "rsk_inverse": (_reversed_words, {
+        (f"{mode} word-level roundtrip", WORD_SWEEP + "inverse mismatch") for mode in ("lps", "rps")
+    }),
+    "is_stable_pair_scan": (lambda real: lambda pair, mode, level: True, {
+        ("standard-level stable pairs count", "6 stable pairs; round trip and pattern scan disagree on 1 pairs"),
+        ("lps word-level stable pairs are exactly the insertion image", WORD_SETS),
+        ("rps word-level stable pairs are exactly the insertion image", WORD_SETS),
+        ("non-member pair is rejected and its reading inserts elsewhere", "accepted, diverges"),
+    }),
+    "ps_project": (lambda real: lambda t, alphabet=None: t, {
+        ("three tableau enumerators agree", "disagree"),
+        ("projection fibers uniform at the predicted size", "projection image differs from the standard tableaux"),
+    }),
+    "read_by_recording": (_reversed_words, {
+        (f"{mode} word roundtrip", WORD_SWEEP + "reading back failed") for mode in ("lps", "rps")
+    }),
+}
+
+
+@pytest.mark.parametrize("name", DEFECTS)
+def test_verify_suite_reports_each_injected_defect(monkeypatch, name):
+    import pstab.oracle as oracle
+
+    defect, failures = DEFECTS[name]
+    monkeypatch.setattr(oracle, name, defect(getattr(oracle, name)))
+    report = verify_suite(max_n=3, budgets=Budgets(word_len=3, array_len=2, eval_sum=3))
+    assert {(case.name, case.oracle) for case in report.failures()} == failures
+
+
 def test_verify_suite_turns_crashes_into_failing_cases(monkeypatch):
     import pstab.oracle as oracle
 

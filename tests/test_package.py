@@ -55,7 +55,9 @@ def test_every_public_name_imports_from_the_package():
         assert namespace[name] is getattr(getattr(pstab, module), name), name
     star: dict = {}
     exec("from pstab import *", star)
-    assert {name for _, name in NAMES} <= set(star)
+    # as when the package imported them eagerly, a star import also binds the production modules
+    assert set(star) - {"__builtins__"} == {name for _, name in NAMES} | (set(PUBLIC) - {"oracle"})
+    assert set(pstab.__all__) <= set(dir(pstab))
     with pytest.raises(ImportError):
         exec("from pstab import no_such_name", {})
 
@@ -92,6 +94,17 @@ def test_request_path_does_not_load_the_oracle(argv, bare_modules):
     modules = _imported_modules(*argv)
     assert "pstab.cli" in modules
     assert not (modules - bare_modules) & HEAVY
+
+
+@pytest.mark.parametrize("code, loaded, not_loaded", [
+    ("import pstab", set(), set(PUBLIC)),
+    ("import pstab; pstab.count_lps", {"counting"}, {"insertion", "correspondence", "oracle"}),
+    ("import pstab; pstab.tableaux.render_ascii", {"tableaux"}, {"counting", "oracle"}),
+])
+def test_the_package_loads_a_module_when_one_of_its_names_is_first_used(code, loaded, not_loaded):
+    modules = _imported_modules("-c", code)
+    assert {f"pstab.{name}" for name in loaded} <= modules
+    assert not {f"pstab.{name}" for name in not_loaded} & modules
 
 
 def test_unrsk_loads_json_when_it_runs():
