@@ -10,8 +10,9 @@ the JSON ``elapsed_seconds``).
 from __future__ import annotations
 
 import argparse
+import io
 import sys
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from .correspondence import rsk, rsk_inverse
 from .counting import bell_hook, bell_rowsum, count_lps, count_rps, hook_count, parse_evaluation, parse_shape
@@ -23,7 +24,7 @@ from .tableaux import (
     render_latex,
     tableau_from_json,
 )
-from .words import StandardizedSymbol, Symbol, format_word, parse_word
+from .words import StandardizedSymbol, format_word, parse_word
 
 # pstab.oracle is imported only inside the two commands that run it (verify,
 # bell --method oracle), and json only inside unrsk, so that no other request
@@ -49,36 +50,36 @@ def _side_by_side(left: str, right: str, gap: str = "   ") -> str:
     )
 
 
-def _json_list(items: Iterable[str], depth: int) -> str:
-    """A JSON array of rendered items laid out as ``json.dumps(indent=2)``
-    lays it out when it opens at nesting ``depth``."""
-    inner = "\n" + "  " * (depth + 1)
-    body = ("," + inner).join(items)
-    return "[" + inner + body + "\n" + "  " * depth + "]" if body else "[]"
-
-
-def _json_column(col: tuple[Symbol, ...], depth: int) -> str:
-    # a tableau never mixes kinds; a standardized symbol is a [base, index] array
-    if isinstance(col[0], StandardizedSymbol):
-        return _json_list((_json_list(map(str, sym), depth + 1) for sym in col), depth)
-    return _json_list(map(str, col), depth)
-
-
-def _pair_json(pair: TableauPair) -> str:
-    """``json.dumps({"p": tableau_to_json(p), "q": tableau_to_json(q)}, indent=2)``,
-    written by joins over the columns instead of through the JSON encoder."""
-    p, q = (_json_list((_json_column(col, 3) for col in t.columns), 2) for t in pair)
-    return f'{{\n  "p": {{\n    "columns": {p}\n  }},\n  "q": {{\n    "columns": {q}\n  }}\n}}'
+def _pair_json(pair: TableauPair) -> Iterator[str]:
+    """``json.dumps({"p": tableau_to_json(p), "q": tableau_to_json(q)}, indent=2)``, built by column
+    and given out in blocks of about a buffer's size: writing it never holds the whole text, and an
+    unbuffered stdout (``PYTHONUNBUFFERED``) makes a system call per block, not per column."""
+    block, size = [], 0
+    for head, t in (('{\n  "p"', pair.p), (',\n  "q"', pair.q)):
+        block.append(head + ': {\n    "columns": [')
+        for n, col in enumerate(t.columns):
+            if isinstance(col[0], StandardizedSymbol):
+                col = (f"[\n          {base},\n          {index}\n        ]" for base, index in col)
+            block.append(("," if n else "") + "\n      [\n        " + ",\n        ".join(map(str, col)) + "\n      ]")
+            size += len(block[-1])
+            if size >= io.DEFAULT_BUFFER_SIZE:
+                yield "".join(block)
+                block, size = [], 0
+        block.append("\n    ]\n  }" if t.columns else "]\n  }")
+    yield "".join(block) + "\n}"
 
 
 def _render_pair(pair: TableauPair, fmt: str) -> str:
     if fmt == "json":
-        return _pair_json(pair)
+        return "".join(_pair_json(pair))
     if fmt == "latex":
         return render_latex(pair.p) + "\n\\quad\n" + render_latex(pair.q)
-    left = "P:\n" + render_ascii(pair.p)
-    right = "Q:\n" + render_ascii(pair.q)
-    return _side_by_side(left, right)
+    return _side_by_side("P:\n" + render_ascii(pair.p), "Q:\n" + render_ascii(pair.q))
+
+
+def _print_pair(pair: TableauPair, fmt: str) -> None:
+    sys.stdout.writelines(_pair_json(pair) if fmt == "json" else (_render_pair(pair, fmt),))
+    sys.stdout.write("\n")
 
 
 def _read_source(args: argparse.Namespace, inline: dict[str, str | None]) -> str:
@@ -105,21 +106,15 @@ def _read_source(args: argparse.Namespace, inline: dict[str, str | None]) -> str
 
 def _cmd_insert(args: argparse.Namespace) -> int:
     word = parse_word(_read_source(args, {"an inline word": args.word}))
-    pair = extended_insert(word, args.mode)
-    print(_render_pair(pair, args.format))
+    _print_pair(extended_insert(word, args.mode), args.format)
     return 0
 
 
 def _cmd_rsk(args: argparse.Namespace) -> int:
     text = _read_source(args, {"--word": args.word, "--array": args.array})
-    if args.array is not None:
-        value = TwoRowedArray.parse(text)
-    elif args.word is not None:
-        value = parse_word(text)
-    else:
-        value = TwoRowedArray.parse(text) if "/" in text else parse_word(text)
-    pair = rsk(value, args.mode)
-    print(_render_pair(pair, args.format))
+    is_array = args.array is not None or (args.word is None and "/" in text)
+    value = TwoRowedArray.parse(text) if is_array else parse_word(text)
+    _print_pair(rsk(value, args.mode), args.format)
     return 0
 
 

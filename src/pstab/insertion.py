@@ -159,11 +159,12 @@ def _checked_pair(pair: TableauPair, p_flag: str | None, q_flag: str) -> None:
 
 def _insert_pairs(items: Iterable[tuple[Symbol, Symbol]], spec: ModeSpec) -> TableauPair:
     """Insert (bottom symbol, top label) pairs; labels land where boxes are created."""
-    p_cols: list[list[Symbol]] = []
-    q_cols: list[list[Symbol]] = []
+    p_cols: list = []
+    q_cols: list = []
     heads: list[Symbol] = []
+    bisect = spec.bisect
     for value, label in items:
-        m = spec.bisect(heads, value)
+        m = bisect(heads, value)
         if m == len(heads):
             p_cols.append([])
             q_cols.append([])
@@ -171,10 +172,10 @@ def _insert_pairs(items: Iterable[tuple[Symbol, Symbol]], spec: ModeSpec) -> Tab
         p_cols[m].append(value)
         q_cols[m].append(label)
         heads[m] = value
-    # p columns grow top-first, so a bump is an append; flip them once here.
-    return TableauPair(
-        Tableau._trusted(col[::-1] for col in p_cols), Tableau._trusted(q_cols)
-    )
+    # flip p columns (grown top-first: a bump is an append); each tuple takes its list's slot, freeing it
+    for i, (p_col, q_col) in enumerate(zip(p_cols, q_cols)):
+        p_cols[i], q_cols[i] = tuple(p_col[::-1]), tuple(q_col)
+    return TableauPair(Tableau._trusted(p_cols), Tableau._trusted(q_cols))
 
 
 def ps_insert(word: Iterable[Symbol], mode: Mode) -> Tableau:

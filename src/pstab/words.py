@@ -9,6 +9,7 @@ comparison realizes the indexed-alphabet order.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import Any, Iterable, Literal, NamedTuple, Union
 
 from .errors import InvalidInputError
@@ -116,6 +117,9 @@ def parse_word(text: str) -> Word:
     empty word.
     """
     tokens = text.replace(",", " ").split()
+    if "_" not in text:
+        with suppress(ValueError):  # else the loop below names the first bad token
+            return check_word(list(map(int, tokens)))
     out: list[Symbol] = []
     for tok in tokens:
         try:

@@ -1,6 +1,9 @@
+import io
 import json
+import random
 import re
 import sys
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -8,7 +11,7 @@ import pytest
 
 from pstab import (
     BudgetExceededError, InternalError, InvalidInputError, NotInStablePairsError,
-    count_lps_rec, extended_insert, standardize, tableau_to_json,
+    count_lps_rec, extended_insert, format_word, standardize, tableau_to_json,
 )
 from pstab.cli import _render_pair, main
 
@@ -105,6 +108,58 @@ def test_json_pair_matches_the_json_encoder(mode, word):
         pair = extended_insert(symbols, mode)
         expected = json.dumps({"p": tableau_to_json(pair.p), "q": tableau_to_json(pair.q)}, indent=2)
         assert _render_pair(pair, "json") == expected
+
+
+# a seeded lps word over {1, 2}: it inserts to about 10^4 columns
+BIG_WORD = tuple(random.Random(15).choices((1, 2), k=20_000))
+
+
+@pytest.mark.parametrize("command", [["insert"], ["rsk", "--word"]])
+def test_json_pair_output_is_the_json_encoders_text(capsys, command):
+    for word in (BIG_WORD, (), standardize((4, 6, 2, 3, 2, 1, 4), "left")):
+        code = main([command[0], "--mode", "lps", "--format", "json", *command[1:], format_word(word)])
+        captured = capsys.readouterr()
+        pair = extended_insert(word, "lps")
+        assert (code, captured.err) == (0, "")
+        assert captured.out == json.dumps({"p": tableau_to_json(pair.p), "q": tableau_to_json(pair.q)}, indent=2) + "\n"
+
+
+def test_json_pair_output_is_written_in_pieces(monkeypatch):
+    pair = extended_insert(BIG_WORD, "lps")
+
+    class Sink:
+        """A stdout that counts the writes and characters it is given and keeps none."""
+
+        chars = writes = 0
+
+        def write(self, text):
+            self.chars += len(text)
+            self.writes += 1
+
+        def writelines(self, pieces):
+            for piece in pieces:
+                self.write(piece)
+
+    def inserted(word, mode):
+        tracemalloc.reset_peak()  # trace the writing alone
+        held.append(tracemalloc.get_traced_memory()[0])
+        return pair
+
+    sink, held = Sink(), []
+    monkeypatch.setattr("pstab.cli.extended_insert", inserted)
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["insert", "--mode", "lps", "--format", "json", "1"])
+        peak = tracemalloc.get_traced_memory()[1] - held[0]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.chars == len(_render_pair(pair, "json")) + 1
+    # the whole text would be one string of sink.chars characters
+    assert peak < sink.chars / 10
+    # an unbuffered stdout makes a system call of each write: one per block of text, not per column
+    assert sink.writes <= sink.chars / io.DEFAULT_BUFFER_SIZE + 2
 
 
 def test_unrsk_exit_codes_by_input(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -361,3 +362,16 @@ def test_mixed_alphabet_array_insertion():
     assert pair.q == Tableau(
         [[StandardizedSymbol(1, 1), StandardizedSymbol(2, 1)], [StandardizedSymbol(1, 2)]]
     )
+
+
+def test_extended_insert_peaks_near_the_pair_it_keeps():
+    # each column list gives way to its tuple; holding both would peak near twice the pair
+    word = tuple(random.Random(15).choices((1, 2), k=20_000))
+    tracemalloc.start()
+    try:
+        pair = extended_insert(word, "lps")
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pair.p.columns) > 9_000
+    assert peak <= 1.5 * kept

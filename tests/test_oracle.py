@@ -12,6 +12,7 @@ from pstab import (
     CaseResult,
     InvalidInputError,
     Tableau,
+    TableauPair,
     VerificationReport,
     count_set_partitions,
     count_tableaux_bruteforce,
@@ -382,6 +383,71 @@ def test_verify_suite_reports_each_injected_defect(monkeypatch, name):
     monkeypatch.setattr(oracle, name, defect(getattr(oracle, name)))
     report = verify_suite(max_n=3, budgets=Budgets(word_len=3, array_len=2, eval_sum=3))
     assert {(case.name, case.oracle) for case in report.failures()} == failures
+
+
+def _flipped(t):
+    return Tableau._trusted(col[::-1] for col in t.columns)
+
+
+def _unflipped_insert(real):
+    """``extended_insert`` that leaves its first tableau's columns top-first."""
+    return lambda w, mode: TableauPair(_flipped(real(w, mode).p), real(w, mode).q)
+
+
+# a defect, the binding of _insertion_well_formed it is injected into, and
+# the violations that then fire on the word 2 1 2 over A_2
+INSERTION_DEFECTS = {
+    "unflipped_p_columns": ("extended_insert", _unflipped_insert, [
+        "output not {mode}", "plain and extended insertion differ", "binary search differs from linear scan",
+    ]),
+    "ps_insert_reverses_columns": ("ps_insert", lambda real: lambda w, mode: Tableau._trusted(
+        real(w, mode).columns[::-1]
+    ), ["plain and extended insertion differ"]),
+    "linear_reference_flips_columns": ("_ps_insert_linear", lambda real: lambda w, mode: _flipped(
+        real(w, mode)
+    ), ["binary search differs from linear scan"]),
+    # an off-by-one slice that drops each column's bottom box
+    "reversal_drops_boxes": ("reverse_columns", lambda real: lambda t: Tableau._trusted(
+        col[:0:-1] for col in t.columns
+    ), ["column reversal not an involution"]),
+    "q_not_recording": ("extended_insert", lambda real: lambda w, mode: TableauPair(
+        real(w, mode).p, Tableau._trusted(tuple(x + 1 for x in col) for col in real(w, mode).q.columns)
+    ), ["recording tableau invalid"]),
+    # 2 1 2 inserts to two columns, the last of one box
+    "p_drops_a_box": ("extended_insert", lambda real: lambda w, mode: TableauPair(
+        Tableau._trusted(real(w, mode).p.columns[:-1]), real(w, mode).q
+    ), ["evaluation changed", "plain and extended insertion differ", "binary search differs from linear scan"]),
+}
+
+
+@pytest.mark.parametrize("mode", ["lps", "rps"])
+@pytest.mark.parametrize("defect", INSERTION_DEFECTS)
+def test_insertion_well_formed_names_each_injected_defect(monkeypatch, defect, mode):
+    import pstab.oracle as oracle
+
+    name, make, violations = INSERTION_DEFECTS[defect]
+    monkeypatch.setattr(oracle, name, make(getattr(oracle, name)))
+    found = list(oracle._insertion_well_formed(mode, 2, (2, 1, 2)))
+    assert found == [f"2 1 2: {text.format(mode=mode)}" for text in violations]
+
+
+def test_verify_suite_fails_exactly_these_cases_on_unflipped_columns(monkeypatch):
+    import pstab.oracle as oracle
+
+    monkeypatch.setattr(oracle, "extended_insert", _unflipped_insert(oracle.extended_insert))
+    report = verify_suite(max_n=3, budgets=Budgets(word_len=3, array_len=2, eval_sum=3))
+    assert [(case.name, case.oracle) for case in report.failures()] == [
+        ("lps insertion well-formed", "60 violations, first: 2 1: output not lps"),
+        ("lps standardization laws", "InvalidInputError: left standardization requires an lPS tableau"),
+        ("lps word roundtrip", "20 violations, first: 2 1: reading back failed"),
+        ("rps insertion well-formed", "51 violations, first: 2 1: output not rps"),
+        ("rps standardization laws", "InvalidInputError: right standardization requires an rPS tableau"),
+        ("rps word roundtrip", "17 violations, first: 2 1: reading back failed"),
+        ("lps identity-top array matches word insertion", "3 violations, first: 2 1"),
+        ("rps identity-top array matches word insertion", "3 violations, first: 2 1"),
+        ("standard-level stable pairs count", "2 stable pairs; stable set differs from insertion image"),
+        ("standard-level stable pairs count", "6 stable pairs; stable set differs from insertion image"),
+    ]
 
 
 def test_verify_suite_turns_crashes_into_failing_cases(monkeypatch):

@@ -128,14 +128,27 @@ def test_parse_word_formats():
     assert parse_word("4,6,2,3,2,1,4") == (4, 6, 2, 3, 2, 1, 4)
     assert parse_word("") == ()
     assert parse_word("4_1 1_1") == (S(4, 1), S(1, 1))
+    # int() reads a sign, and an empty field between commas is no token
+    assert parse_word("+3") == (3,)
+    assert parse_word("1,,2") == (1, 2)
 
 
 def test_parse_word_rejects_garbage():
-    with pytest.raises(InvalidInputError):
-        parse_word("4 x")
-    for text in ("0 1", "-1", "1_0", "1_1 2", "3 2_1", "1_2_3"):
-        with pytest.raises(InvalidInputError):
+    # plain words parse in one pass; on a failure the message still names the first bad token
+    for text, message in (
+        ("4 x", "cannot parse symbol 'x'"),
+        ("1 2 " * 50_000 + "x 3 y", "cannot parse symbol 'x'"),
+        ("1 2 " * 50_000 + "0", "not a symbol: 0"),
+        ("0 1", "not a symbol: 0"),
+        ("-1", "not a symbol: -1"),
+        ("1_0", "not a symbol: StandardizedSymbol(base=1, index=0)"),
+        ("1_1 2", "expected only standardized symbols, got 2"),
+        ("3 2_1", "expected only plain symbols, got 2_1"),
+        ("1_2_3", "cannot parse symbol '1_2_3'"),
+    ):
+        with pytest.raises(InvalidInputError) as exc:
             parse_word(text)
+        assert str(exc.value) == message
 
 
 @given(words)
