@@ -38,18 +38,6 @@ def _pair_from_json(obj: dict) -> TableauPair:
     return TableauPair(tableau_from_json(obj["p"]), tableau_from_json(obj["q"]))
 
 
-def _side_by_side(left: str, right: str, gap: str = "   ") -> str:
-    left_lines = left.splitlines()
-    right_lines = right.splitlines()
-    height = max(len(left_lines), len(right_lines))
-    left_lines = [""] * (height - len(left_lines)) + left_lines
-    right_lines = [""] * (height - len(right_lines)) + right_lines
-    width = max((len(line) for line in left_lines), default=0)
-    return "\n".join(
-        (a.ljust(width) + gap + b).rstrip() for a, b in zip(left_lines, right_lines)
-    )
-
-
 def _pair_json(pair: TableauPair) -> Iterator[str]:
     """``json.dumps({"p": tableau_to_json(p), "q": tableau_to_json(q)}, indent=2)``, built by column
     and given out in blocks of about a buffer's size: writing it never holds the whole text, and an
@@ -74,7 +62,10 @@ def _render_pair(pair: TableauPair, fmt: str) -> str:
         return "".join(_pair_json(pair))
     if fmt == "latex":
         return render_latex(pair.p) + "\n\\quad\n" + render_latex(pair.q)
-    return _side_by_side("P:\n" + render_ascii(pair.p), "Q:\n" + render_ascii(pair.q))
+    # P and Q share a shape, so their blocks have the same height
+    p_lines, q_lines = (f"{name}:\n{render_ascii(t)}".split("\n") for name, t in zip("PQ", pair))
+    width = max(map(len, p_lines))
+    return "\n".join((a.ljust(width) + "   " + b).rstrip() for a, b in zip(p_lines, q_lines))
 
 
 def _print_pair(pair: TableauPair, fmt: str) -> None:

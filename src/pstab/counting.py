@@ -8,8 +8,8 @@ itself.  The paper's literal sums (over every bottom row, every 0-1 row and
 every composition) are exponential; they live in :mod:`pstab.oracle` as
 cross-checks of the dynamic programs here.
 
-Everything is ordinary Python integer arithmetic, hence arbitrary precision;
-divisions are exact and asserted to be so.
+Everything is ordinary Python integer arithmetic, hence arbitrary precision,
+and nothing divides.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import product
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InternalError, InvalidInputError
+from .errors import InvalidInputError
 from .tableaux import Shape, Tableau
 from .words import Evaluation
 
@@ -221,23 +221,16 @@ def hook_count(n: int, shape: Sequence[int]) -> Count:
         (n - 1)! / (prod_{i=1}^{m-1} (n - lam_1 - ... - lam_i)
                     * prod_k (lam_k - 1)!)
 
-    The division is exact; a nonzero remainder is an internal error, never a
-    rounding.
+    computed without division as prod_k C(r_k - 1, lam_k - 1), r_k the boxes of
+    columns k..m: column k takes the least of their symbols and lam_k - 1 others.
     """
     if n < 1:
         raise InvalidInputError("n must be at least 1")
-    lam = _check_shape(n, shape)
-    denominator = 1
-    prefix = 0
-    for part in lam[:-1]:
-        prefix += part
-        denominator *= n - prefix
-    for part in lam:
-        denominator *= factorial(part - 1)
-    quotient, remainder = divmod(factorial(n - 1), denominator)
-    if remainder:
-        raise InternalError(f"hook count for n={n}, shape={lam} is not an integer")
-    return quotient
+    result, left = 1, n
+    for part in _check_shape(n, shape):
+        result *= comb(left - 1, part - 1)
+        left -= part
+    return result
 
 
 def fiber_size(n: int, shape: Sequence[int]) -> Count:
@@ -248,21 +241,17 @@ def fiber_size(n: int, shape: Sequence[int]) -> Count:
 
     Satisfies fiber_size(n, shape) * hook_count(n, shape) = n!.
     """
-    lam = _check_shape(n, shape)
-    result = 1
-    prefix = 0
-    for part in lam:
-        result *= n - prefix
-        prefix += part
-    for part in lam:
-        result *= factorial(part - 1)
+    result, left = 1, n
+    for part in _check_shape(n, shape):
+        result *= left * factorial(part - 1)
+        left -= part
     return result
 
 
 def bell_hook(n: int) -> Count:
     """n-th Bell number as the sum of :func:`hook_count` over all compositions.
 
-    Grouping the compositions of r by their first part a gives
+    The first factor of :func:`hook_count`'s product gives
     hook_count(r, (a,) + rest) = C(r - 1, a - 1) * hook_count(r - a, rest),
     so B_r = sum_a C(r - 1, a - 1) * B_{r - a} with B_0 = 1, the binomials
     taken from Pascal's triangle row by row: O(n^2) integer steps instead of

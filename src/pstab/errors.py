@@ -34,4 +34,5 @@ class ReverseInsertionError(PSTabError):
 
 
 class InternalError(PSTabError):
-    """An internal invariant failed (e.g. an exact division left a remainder)."""
+    """An internal invariant failed.  Nothing in the package raises it; it
+    stays a public name for code that catches it."""

@@ -369,19 +369,17 @@ def bell_hook_sum(n: int) -> Count:
 
 
 def _ps_insert_linear(word: Iterable, mode: Mode) -> Tableau:
-    # Reference insertion with a linear scan for the bumped column, kept as an
-    # independent check of the binary-search implementation.
-    cols: list[list] = []
-    for sym in word:
-        heads = [c[0] for c in cols]
-        if not cols or (heads[-1] <= sym if mode == "lps" else heads[-1] < sym):
-            cols.append([sym])
-        else:
-            if mode == "lps":
-                m = next(i for i, r in enumerate(heads) if sym < r)
-            else:
-                m = next(i for i, r in enumerate(heads) if sym <= r)
-            cols[m].insert(0, sym)
+    # Reference insertion by level sets, sharing nothing with the bisecting loop: column i holds the
+    # symbols whose longest increasing subsequence ends at length i, the last one at the bottom.  The
+    # keys (symbol, k) in lps and (symbol, -k) in rps make that weakly increasing in lps, strictly in rps.
+    sign = 1 if MODE_SPECS[mode].direction == "left" else -1
+    keys = [(sym, sign * k) for k, sym in enumerate(word)]
+    levels: list[int] = []
+    for key in keys:
+        levels.append(1 + max((lev for lev, earlier in zip(levels, keys) if earlier < key), default=0))
+    cols: list[list] = [[] for _ in range(max(levels, default=0))]
+    for (sym, _), lev in zip(keys, levels):
+        cols[lev - 1].insert(0, sym)
     return Tableau(cols)
 
 

@@ -47,6 +47,20 @@ def test_insert_empty_word(capsys):
     assert "(empty)" in out
 
 
+@pytest.mark.parametrize("mode, word, expected", [
+    ("lps", "", "P:        Q:\n(empty)   (empty)\n"),
+    ("rps", "", "P:        Q:\n(empty)   (empty)\n"),
+    ("lps", "12 1 100 7 7", "P:         Q:\n12 100     2 4\n 1   7 7   1 3 5\n"),
+    ("rps", "12 1 100 7 7", "P:       Q:\n   100     5\n12   7   2 4\n 1   7   1 3\n"),
+    ("lps", "2_1 1_1 2_2", "P:        Q:\n2_1       2\n1_1 2_2   1 3\n"),
+    ("rps", "2_1 1_1 2_2", "P:        Q:\n2_1       2\n1_1 2_2   1 3\n"),
+])
+def test_insert_ascii_pair_bytes(capsys, mode, word, expected):
+    # P and Q side by side, three spaces after P's widest line, trailing blanks stripped
+    assert main(["insert", "--mode", mode, word]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_insert_json_roundtrips_through_unrsk(capsys):
     code, out, _ = run(capsys, "insert", "--mode", "lps", "4 6 2 3 2 1 4", "--format", "json")
     assert code == 0

@@ -1,5 +1,5 @@
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 from hypothesis import given, strategies as st
 import pytest
@@ -267,6 +267,16 @@ def test_fiber_size_examples():
 def test_fiber_times_hook_is_factorial(n):
     for lam in compositions(n):
         assert fiber_size(n, lam) * hook_count(n, lam) == factorial(n)
+
+
+@pytest.mark.parametrize("n, lam", [(20000, (10000, 10000)), (2000, (50,) * 40)])
+def test_hook_product_at_scale_is_the_papers_quotient(n, lam):
+    # (n - 1)! / (prod_{i<m} (n - lam_1 - ... - lam_i) * prod_k (lam_k - 1)!), divided here
+    suffixes = [n - sum(lam[:i]) for i in range(1, len(lam))]
+    quotient, remainder = divmod(factorial(n - 1), prod(suffixes) * prod(factorial(part - 1) for part in lam))
+    assert remainder == 0
+    assert hook_count(n, lam) == quotient
+    assert fiber_size(n, lam) * hook_count(n, lam) == factorial(n)
 
 
 @given(st.integers(min_value=1, max_value=10))

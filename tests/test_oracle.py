@@ -180,8 +180,9 @@ def test_count_set_partitions_refuses_n_above_its_budget():
 
 
 def test_linear_reference_matches_bisect_insertion():
+    # the 6,560 word-mode pairs over A_3 of length at most 7
     for mode in ("lps", "rps"):
-        for length in range(5):
+        for length in range(8):
             for w in words_over(3, length):
                 assert _ps_insert_linear(w, mode) == ps_insert(w, mode)
 
@@ -352,6 +353,17 @@ def _reversed_words(real):
     return defect
 
 
+def _off_by_one_on_two_parts(real):
+    """``real``, a count per (n, shape), one too big on every two-part shape."""
+    return lambda n, shape: real(n, shape) + (len(shape) == 2)
+
+
+FIBERS_UNIFORM = "projection fibers uniform at the predicted size"
+# n = 2..12 each have n - 1 two-part shapes, the first (n - 1, 1)
+FIBER_TIMES_HOOK = {
+    ("fiber size times hook count equals n!", f"{n - 1} violations, first: shape=({n - 1}, 1)") for n in range(2, 13)
+}
+
 WORD_SWEEP = "24 violations, first: 1 2: "
 WORD_SETS = "1 violations, first: 3 boxes: round trip and pattern scan disagree on 4 pairs"
 # a defect injected into one of the oracle's bindings, and the (case, observation) pairs it fails
@@ -367,10 +379,24 @@ DEFECTS = {
     }),
     "ps_project": (lambda real: lambda t, alphabet=None: t, {
         ("three tableau enumerators agree", "disagree"),
-        ("projection fibers uniform at the predicted size", "projection image differs from the standard tableaux"),
+        (FIBERS_UNIFORM, "projection image differs from the standard tableaux"),
     }),
     "read_by_recording": (_reversed_words, {
         (f"{mode} word roundtrip", WORD_SWEEP + "reading back failed") for mode in ("lps", "rps")
+    }),
+    "fiber_size": (_off_by_one_on_two_parts, FIBER_TIMES_HOOK | {
+        (FIBERS_UNIFORM, f"fiber sizes [{size}]") for size in (2, 3, 6)
+    }),
+    "hook_count": (_off_by_one_on_two_parts, FIBER_TIMES_HOOK | {
+        ("Bell number, all four routes", "mismatch in ['hook terms']"),
+        ("hook counts grouped by columns match Stirling numbers", "1 violations, first: k=2"),
+        *((FIBERS_UNIFORM, f"{count} fibers of size {size}") for count, size in ((1, 2), (1, 6), (2, 3))),
+        *(("standard tableaux per shape match hook count", count) for count in ("1", "2")),
+    }),
+    "bell_rowsum": (lambda real: lambda n: real(n) + (n == 3), {
+        ("Bell number, all four routes",
+         "mismatch in ['hook', 'rowsum terms', 'hook terms', 'lps', 'rps', 'partitions']"),
+        ("insertion image over standard words has Bell size, modes agree", "5 (modes agree: True)"),
     }),
 }
 
