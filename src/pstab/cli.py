@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .correspondence import rsk, rsk_inverse
 from .counting import bell_hook, bell_rowsum, count_lps, count_rps, hook_count, parse_evaluation, parse_shape
@@ -57,19 +57,19 @@ def _pair_json(pair: TableauPair) -> Iterator[str]:
     yield "".join(block) + "\n}"
 
 
-def _render_pair(pair: TableauPair, fmt: str) -> str:
+def _render_pair(pair: TableauPair, fmt: str) -> Iterable[str]:
     if fmt == "json":
-        return "".join(_pair_json(pair))
+        return _pair_json(pair)
     if fmt == "latex":
-        return render_latex(pair.p) + "\n\\quad\n" + render_latex(pair.q)
+        return render_latex(pair.p), "\n\\quad\n", render_latex(pair.q)
     # P and Q share a shape, so their blocks have the same height
     p_lines, q_lines = (f"{name}:\n{render_ascii(t)}".split("\n") for name, t in zip("PQ", pair))
     width = max(map(len, p_lines))
-    return "\n".join((a.ljust(width) + "   " + b).rstrip() for a, b in zip(p_lines, q_lines))
+    return ("\n".join((a.ljust(width) + "   " + b).rstrip() for a, b in zip(p_lines, q_lines)),)
 
 
 def _print_pair(pair: TableauPair, fmt: str) -> None:
-    sys.stdout.writelines(_pair_json(pair) if fmt == "json" else (_render_pair(pair, fmt),))
+    sys.stdout.writelines(_render_pair(pair, fmt))
     sys.stdout.write("\n")
 
 

@@ -15,7 +15,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, Sequence
@@ -104,9 +104,7 @@ def words_up_to(alphabet_size: int, max_length: int) -> Iterator[Word]:
 
 def arrays_over(alphabet_size: int, length: int, mode: Mode) -> Iterator[TwoRowedArray]:
     """All valid l-arrays (lps) or r-arrays (rps) of the given length."""
-    for top in words_over(alphabet_size, length):
-        if any(a > b for a, b in zip(top, top[1:])):
-            continue
+    for top in combinations_with_replacement(range(1, alphabet_size + 1), length):
         for bottom in words_over(alphabet_size, length):
             arr = TwoRowedArray(top=top, bottom=bottom)
             if arr.is_valid(mode):
@@ -199,7 +197,7 @@ def enumerate_pstab(
         elif method == "filter":
             batch = [t for t in fillings(symbols, lam) if classify(t).is_standard_ps]
         elif method == "project":
-            batch = list({ps_project(t) for t in fillings(symbols, lam)})
+            batch = list(fiber_census(symbols, lam))
         else:
             raise InvalidInputError(f"unknown method {method!r}")
         out.extend(sorted(batch, key=lambda t: t.columns))
@@ -208,11 +206,7 @@ def enumerate_pstab(
 
 def fiber_census(alphabet: Sequence[int], shape: Shape) -> dict[Tableau, int]:
     """How many fillings of ``shape`` project onto each standard tableau."""
-    census: dict[Tableau, int] = {}
-    for t in fillings(alphabet, shape):
-        image = ps_project(t)
-        census[image] = census.get(image, 0) + 1
-    return census
+    return dict(Counter(map(ps_project, fillings(alphabet, shape))))
 
 
 def fiber_bruteforce(
@@ -329,12 +323,15 @@ def bracket_sum_rps(m: Iterable[int]) -> Count:
     return sum(bracket_rps(ev[1:], 0, j) for j in product((0, 1), repeat=len(ev) - 1))
 
 
-# each mode's reference routes to its count, which the dynamic program in
-# pstab.counting must agree with: the paper's recursion and its literal sum
-_COUNT_ROUTES: dict[str, dict[str, Callable[[Iterable[int]], Count]]] = {
-    "lps": {"recursion": count_lps_rec, "bracket sum": bracket_sum_lps},
-    "rps": {"recursion": count_rps_rec, "bracket sum": bracket_sum_rps},
-}
+def _count_routes(mode: Mode) -> dict[str, Callable[[Iterable[int]], Count]]:
+    """The reference routes to the count of ``mode``, which the dynamic program
+    in pstab.counting must agree with: the paper's recursion and its literal
+    sum, through this module's names when called."""
+    recursion, bracket_sum = {
+        "lps": (count_lps_rec, bracket_sum_lps),
+        "rps": (count_rps_rec, bracket_sum_rps),
+    }[mode]
+    return {"recursion": recursion, "bracket sum": bracket_sum}
 
 
 def _count(mode: Mode, ev: Iterable[int]) -> Count:
@@ -418,10 +415,6 @@ def _avoids_forbidden_pairs(left: Word, right: Word) -> bool:
     return True
 
 
-def _standard_stable(r: Tableau, s: Tableau) -> bool:
-    return _avoids_forbidden_pairs(column_reading(r), column_reading(reverse_columns(s)))
-
-
 def is_stable_pair_scan(pair: TableauPair, mode: Mode, level: StablePairLevel) -> bool:
     """Stable-pair membership by the paper's definition, a pattern scan.
 
@@ -436,7 +429,7 @@ def is_stable_pair_scan(pair: TableauPair, mode: Mode, level: StablePairLevel) -
         p = standardize_tableau(p, direction)
     if level == "array":
         q = standardize_tableau(q, direction)
-    return _standard_stable(p, q)
+    return _avoids_forbidden_pairs(column_reading(p), column_reading(reverse_columns(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -528,18 +521,8 @@ class Budgets:
 
 
 def _positive_evaluations(max_sum: int, max_parts: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, parts_left: int) -> None:
-        if prefix:
-            out.append(prefix)
-        if parts_left == 0:
-            return
-        for x in range(1, remaining + 1):
-            rec(prefix + (x,), remaining - x, parts_left - 1)
-
-    rec((), max_sum, max_parts)
-    return sorted(set(out))
+    # an evaluation without zero entries is a composition of its sum
+    return sorted(ev for n in range(1, max_sum + 1) for ev in compositions(n) if len(ev) <= max_parts)
 
 
 def _pairs_by_shape(firsts: Iterable[Tableau], seconds: Iterable[Tableau]) -> Iterator[TableauPair]:
@@ -722,7 +705,7 @@ def _no_violations(item: object) -> Iterable[str]:
 
 def _closed_form_is_recursion(ev: tuple[int, ...]) -> Iterator[str]:
     for mode in MODE_SPECS:
-        if {route(ev) for route in _COUNT_ROUTES[mode].values()} != {_count(mode, ev)}:
+        if {route(ev) for route in _count_routes(mode).values()} != {_count(mode, ev)}:
             yield f"{mode} ev={ev}"
 
 
@@ -811,7 +794,7 @@ def _non_member_rejected() -> tuple[str, str]:
 
 def _count_vs_bruteforce(mode: Mode, max_total: int, ev: tuple[int, ...]) -> tuple[int, str]:
     formula = _count(mode, ev)
-    routes = {name: route(ev) for name, route in _COUNT_ROUTES[mode].items()}
+    routes = {name: route(ev) for name, route in _count_routes(mode).items()}
     brute = count_tableaux_bruteforce(ev, mode, max_total=max_total)
     wrong = [f"{name} gave {value}" for name, value in routes.items() if value != formula]
     return formula, f"{brute} ({', '.join(wrong)})" if wrong else str(brute)

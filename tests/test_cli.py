@@ -121,7 +121,7 @@ def test_json_pair_matches_the_json_encoder(mode, word):
     for symbols in (word, standardize(word, "left"), standardize(word, "right")):
         pair = extended_insert(symbols, mode)
         expected = json.dumps({"p": tableau_to_json(pair.p), "q": tableau_to_json(pair.q)}, indent=2)
-        assert _render_pair(pair, "json") == expected
+        assert "".join(_render_pair(pair, "json")) == expected
 
 
 # a seeded lps word over {1, 2}: it inserts to about 10^4 columns
@@ -169,7 +169,7 @@ def test_json_pair_output_is_written_in_pieces(monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert sink.chars == len(_render_pair(pair, "json")) + 1
+    assert sink.chars == len("".join(_render_pair(pair, "json"))) + 1
     # the whole text would be one string of sink.chars characters
     assert peak < sink.chars / 10
     # an unbuffered stdout makes a system call of each write: one per block of text, not per column

@@ -13,6 +13,7 @@ from pstab import (
     InvalidInputError,
     Tableau,
     TableauPair,
+    TwoRowedArray,
     VerificationReport,
     count_set_partitions,
     count_tableaux_bruteforce,
@@ -26,7 +27,9 @@ from pstab import (
     words_with_evaluation,
 )
 from pstab.counting import compositions
-from pstab.oracle import arrays_over, fillings, mode_tableaux, words_over, _case_table, _ps_insert_linear
+from pstab.oracle import (
+    arrays_over, fillings, mode_tableaux, words_over, _case_table, _positive_evaluations, _ps_insert_linear,
+)
 
 
 def test_words_with_evaluation_small_sets():
@@ -122,6 +125,7 @@ def test_enumerate_pstab_methods_agree():
             direct = enumerate_pstab(alphabet, lam, method="direct")
             assert direct == enumerate_pstab(alphabet, lam, method="filter")
             assert direct == enumerate_pstab(alphabet, lam, method="project")
+            assert direct == sorted(fiber_census(alphabet, lam), key=lambda t: t.columns)
             assert len(direct) == hook_count(n, lam)
 
 
@@ -162,6 +166,20 @@ def test_fiber_census_covers_every_standard_tableau():
     census = fiber_census((1, 2, 3, 4), (2, 2))
     assert set(census) == set(enumerate_pstab((1, 2, 3, 4), (2, 2)))
     assert set(census.values()) == {8}
+    # a plain dict: a tableau that is not standard is no key
+    assert type(census) is dict
+    with pytest.raises(KeyError):
+        census[Tableau([[2, 4], [1, 3]])]
+
+
+def test_positive_evaluations_are_the_zero_free_evaluations():
+    for max_sum in range(11):
+        by_parts = [
+            [ev for ev in product(range(1, max_sum + 1), repeat=parts) if sum(ev) <= max_sum] for parts in range(1, 6)
+        ]
+        for max_parts in range(6):
+            expected = sorted(ev for evs in by_parts[:max_parts] for ev in evs)
+            assert _positive_evaluations(max_sum, max_parts) == expected, (max_sum, max_parts)
 
 
 def test_count_set_partitions_prefix():
@@ -256,6 +274,19 @@ def test_arrays_over_counts_and_validity():
         assert all(arr.is_valid(mode) for arr in arrays)
     # tops 11,12,22: the equal-top runs each lose the decreasing bottom order
     assert len(list(arrays_over(2, 2, "lps"))) == 10
+
+
+@pytest.mark.parametrize("mode", ["lps", "rps"])
+def test_arrays_over_is_the_filtered_product(mode):
+    # every nondecreasing top with every bottom that makes a valid array, in lexicographic order
+    for alphabet_size in range(4):
+        for length in range(5):
+            words = list(product(range(1, alphabet_size + 1), repeat=length))
+            expected = [
+                arr for top in words if list(top) == sorted(top)
+                for arr in (TwoRowedArray(top, bottom) for bottom in words) if arr.is_valid(mode)
+            ]
+            assert list(arrays_over(alphabet_size, length, mode)) == expected, (alphabet_size, length)
 
 
 def test_verify_suite_trivial_scale_passes():
@@ -358,45 +389,118 @@ def _off_by_one_on_two_parts(real):
     return lambda n, shape: real(n, shape) + (len(shape) == 2)
 
 
+def _one_short_on_two_parts(real):
+    """``real``, a count per (n, shape), one too small on every two-part shape."""
+    return lambda n, shape: real(n, shape) - (len(shape) == 2)
+
+
 FIBERS_UNIFORM = "projection fibers uniform at the predicted size"
 # n = 2..12 each have n - 1 two-part shapes, the first (n - 1, 1)
 FIBER_TIMES_HOOK = {
     ("fiber size times hook count equals n!", f"{n - 1} violations, first: shape=({n - 1}, 1)") for n in range(2, 13)
 }
+# what a hook count off by one on every two-part shape fails, either way
+HOOK_COUNT_OFF = FIBER_TIMES_HOOK | {
+    ("Bell number, all four routes", "mismatch in ['hook terms']"),
+    ("hook counts grouped by columns match Stirling numbers", "1 violations, first: k=2"),
+    *((FIBERS_UNIFORM, f"{count} fibers of size {size}") for count, size in ((1, 2), (1, 6), (2, 3))),
+    *(("standard tableaux per shape match hook count", count) for count in ("1", "2")),
+}
 
 WORD_SWEEP = "24 violations, first: 1 2: "
 WORD_SETS = "1 violations, first: 3 boxes: round trip and pattern scan disagree on 4 pairs"
-# a defect injected into one of the oracle's bindings, and the (case, observation) pairs it fails
+
+
+def _rps_off_by_one_on_first_entry_2(real):
+    """``count_rps``, one too big on every evaluation whose first entry is 2."""
+    return lambda ev: real(ev) + (tuple(ev)[:1] == (2,))
+
+
+def _swapping_one_one_columns(real):
+    """``ps_project`` that swaps the two columns of a (1, 1) filling instead of projecting it."""
+    return lambda t, alphabet=None: Tableau._trusted(t.columns[::-1]) if t.shape == (1, 1) else real(t, alphabet)
+
+
+def _with_one_extra_column(real):
+    """``insertion_image`` plus the one-column tableau of the evaluation's sorted word."""
+    def defect(ev, mode, max_total=10):
+        return real(ev, mode, max_total) | {Tableau._trusted([next(words_with_evaluation(ev))])}
+
+    return defect
+
+
+def _inserting_21_as_12(real):
+    """``extended_insert`` that inserts the word 2 1 as if it were 1 2."""
+    return lambda w, mode: real((1, 2) if tuple(w) == (2, 1) else w, mode)
+
+
+# a defect's id, the oracle binding it is injected into, the defect, and the
+# (case, observation) pairs it fails
 DEFECTS = {
-    "rsk_inverse": (_reversed_words, {
+    "rsk_inverse": ("rsk_inverse", _reversed_words, {
         (f"{mode} word-level roundtrip", WORD_SWEEP + "inverse mismatch") for mode in ("lps", "rps")
     }),
-    "is_stable_pair_scan": (lambda real: lambda pair, mode, level: True, {
+    "is_stable_pair_scan": ("is_stable_pair_scan", lambda real: lambda pair, mode, level: True, {
         ("standard-level stable pairs count", "6 stable pairs; round trip and pattern scan disagree on 1 pairs"),
         ("lps word-level stable pairs are exactly the insertion image", WORD_SETS),
         ("rps word-level stable pairs are exactly the insertion image", WORD_SETS),
         ("non-member pair is rejected and its reading inserts elsewhere", "accepted, diverges"),
     }),
-    "ps_project": (lambda real: lambda t, alphabet=None: t, {
+    "ps_project": ("ps_project", lambda real: lambda t, alphabet=None: t, {
         ("three tableau enumerators agree", "disagree"),
         (FIBERS_UNIFORM, "projection image differs from the standard tableaux"),
     }),
-    "read_by_recording": (_reversed_words, {
+    "read_by_recording": ("read_by_recording", _reversed_words, {
         (f"{mode} word roundtrip", WORD_SWEEP + "reading back failed") for mode in ("lps", "rps")
     }),
-    "fiber_size": (_off_by_one_on_two_parts, FIBER_TIMES_HOOK | {
+    "fiber_size": ("fiber_size", _off_by_one_on_two_parts, FIBER_TIMES_HOOK | {
         (FIBERS_UNIFORM, f"fiber sizes [{size}]") for size in (2, 3, 6)
     }),
-    "hook_count": (_off_by_one_on_two_parts, FIBER_TIMES_HOOK | {
-        ("Bell number, all four routes", "mismatch in ['hook terms']"),
-        ("hook counts grouped by columns match Stirling numbers", "1 violations, first: k=2"),
-        *((FIBERS_UNIFORM, f"{count} fibers of size {size}") for count, size in ((1, 2), (1, 6), (2, 3))),
-        *(("standard tableaux per shape match hook count", count) for count in ("1", "2")),
-    }),
-    "bell_rowsum": (lambda real: lambda n: real(n) + (n == 3), {
+    "hook_count": ("hook_count", _off_by_one_on_two_parts, HOOK_COUNT_OFF),
+    "bell_rowsum": ("bell_rowsum", lambda real: lambda n: real(n) + (n == 3), {
         ("Bell number, all four routes",
          "mismatch in ['hook', 'rowsum terms', 'hook terms', 'lps', 'rps', 'partitions']"),
         ("insertion image over standard words has Bell size, modes agree", "5 (modes agree: True)"),
+    }),
+    # one too big on every two-entry evaluation: the reference routes are looked up when a check runs
+    "count_lps_rec": ("count_lps_rec", lambda real: lambda ev: real(ev) + (len(ev) == 2), {
+        ("closed form equals recursion", "45 violations, first: lps ev=(1, 1)"),
+        ("lps tableau count, formula vs brute force", "2 (recursion gave 3)"),
+        ("lps tableau count, formula vs brute force", "3 (recursion gave 4)"),
+    }),
+    "count_rps_on_first_entry_2": ("count_rps", _rps_off_by_one_on_first_entry_2, {
+        ("rps count ignores the first entry", "7 violations, first: first=2, tail=(1,)"),
+        ("counts ignore zero entries", "2 violations, first: ev=(2,) padded at 0"),
+        ("closed form equals recursion", "163 violations, first: rps ev=(2,)"),
+        ("rps tableau count, formula vs brute force", "1 (recursion gave 1, bracket sum gave 1)"),
+        ("rps tableau count, formula vs brute force", "2 (recursion gave 2, bracket sum gave 2)"),
+    }),
+    # one too small, it no longer bounds each tableau's preimages, and the squares fall short of n!
+    "hook_count_low_on_two_parts": ("hook_count", _one_short_on_two_parts, HOOK_COUNT_OFF | {
+        ("preimage count per tableau bounded by hook count", "1 violations, first: shape=(1, 1)"),
+        ("preimage count per tableau bounded by hook count", "2 violations, first: shape=(1, 2)"),
+        ("hook bound on preimages is strict somewhere", "2 not below 2"),
+        *(("factorial bounded by sum of squared hook counts", bound) for bound in ("2 > 1", "6 > 3")),
+    }),
+    "ps_project_swaps_one_one_columns": ("ps_project", _swapping_one_one_columns, {
+        ("projection idempotent, preserving, fixing standard tableaux",
+         "3 violations, first: n=2, shape=(1, 1): not idempotent"),
+        ("three tableau enumerators agree", "disagree"),
+        (FIBERS_UNIFORM, "projection image differs from the standard tableaux"),
+    }),
+    "insertion_image_extra_column": ("insertion_image", _with_one_extra_column, {
+        ("bottom row length within its bounds", "4 violations, first: ev=(1, 2), shape=(3,)"),
+        *(("lps tableau count, formula vs brute force", count) for count in ("2", "3", "4")),
+    }),
+    "extended_insert_reads_21_as_12": ("extended_insert", _inserting_21_as_12, {
+        ("standard-level stable pairs count", "2 stable pairs; insertion not injective on 2!"),
+        *((f"{mode} standardization laws", "3 violations, first: 2 1: standardized word inserts differently")
+          for mode in ("lps", "rps")),
+        *((f"{mode} insertion well-formed", "2 violations, first: 2 1: plain and extended insertion differ")
+          for mode in ("lps", "rps")),
+        *((f"{mode} word roundtrip", "1 violations, first: 2 1: reading back failed") for mode in ("lps", "rps")),
+        *((f"{mode} identity-top array matches word insertion", "1 violations, first: 2 1")
+          for mode in ("lps", "rps")),
     }),
 }
 
@@ -405,8 +509,8 @@ DEFECTS = {
 def test_verify_suite_reports_each_injected_defect(monkeypatch, name):
     import pstab.oracle as oracle
 
-    defect, failures = DEFECTS[name]
-    monkeypatch.setattr(oracle, name, defect(getattr(oracle, name)))
+    binding, defect, failures = DEFECTS[name]
+    monkeypatch.setattr(oracle, binding, defect(getattr(oracle, binding)))
     report = verify_suite(max_n=3, budgets=Budgets(word_len=3, array_len=2, eval_sum=3))
     assert {(case.name, case.oracle) for case in report.failures()} == failures
 
