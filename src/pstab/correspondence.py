@@ -14,7 +14,7 @@ and otherwise returns that same extraction, the unique preimage.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import accumulate, chain, combinations
 from typing import Iterable, Literal, Union
 
 from .errors import InvalidInputError, NotInStablePairsError
@@ -95,19 +95,13 @@ def occurrences(word: Iterable[Symbol], pattern: DashedPattern | str) -> list[tu
         raise InvalidInputError("pattern search requires pairwise-distinct symbols")
     target = pattern.flat()
     sizes = [len(block) for block in pattern.blocks]
-    suffix = [sum(sizes[i:]) for i in range(len(sizes) + 1)]
+    # block b starts at its pick plus the extra boxes of the blocks before it
+    shifts = list(accumulate((size - 1 for size in sizes), initial=0))
     out: list[tuple[int, ...]] = []
-
-    def place(block_idx: int, start_min: int, acc: tuple[int, ...]) -> None:
-        if block_idx == len(sizes):
-            if _ranks([syms[i] for i in acc]) == target:
-                out.append(tuple(i + 1 for i in acc))
-            return
-        size = sizes[block_idx]
-        for start in range(start_min, len(syms) - suffix[block_idx] + 1):
-            place(block_idx + 1, start + size, acc + tuple(range(start, start + size)))
-
-    place(0, 0, ())
+    for picks in combinations(range(len(syms) - len(target) + len(sizes)), len(sizes)):
+        acc = [i for pick, shift, size in zip(picks, shifts, sizes) for i in range(pick + shift, pick + shift + size)]
+        if _ranks([syms[i] for i in acc]) == target:
+            out.append(tuple(i + 1 for i in acc))
     return out
 
 

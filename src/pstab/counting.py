@@ -15,8 +15,9 @@ and nothing divides.
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
-from math import comb, factorial
+from itertools import accumulate, chain, product
+from math import comb, factorial, prod
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError
@@ -197,12 +198,10 @@ def compositions(n: int) -> Iterator[Shape]:
     contract for verification reports."""
     if n < 1:
         raise InvalidInputError("n must be at least 1")
-    for first in range(n, 0, -1):
-        if first == n:
-            yield (n,)
-        else:
-            for rest in compositions(n - first):
-                yield (first,) + rest
+    yield (n,)
+    for first in range(n - 1, 0, -1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
 
 
 def _check_shape(n: int, shape: Sequence[int]) -> tuple[int, ...]:
@@ -212,6 +211,14 @@ def _check_shape(n: int, shape: Sequence[int]) -> tuple[int, ...]:
     if sum(lam) != n:
         raise InvalidInputError(f"shape {lam!r} is not a composition of {n}")
     return lam
+
+
+def _columns_left(n: int, shape: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(boxes in this column and those right of it, part) for each column of ``shape``."""
+    if n < 1:
+        raise InvalidInputError("n must be at least 1")
+    lam = _check_shape(n, shape)
+    return zip(accumulate(lam, sub, initial=n), lam)
 
 
 def hook_count(n: int, shape: Sequence[int]) -> Count:
@@ -224,13 +231,7 @@ def hook_count(n: int, shape: Sequence[int]) -> Count:
     computed without division as prod_k C(r_k - 1, lam_k - 1), r_k the boxes of
     columns k..m: column k takes the least of their symbols and lam_k - 1 others.
     """
-    if n < 1:
-        raise InvalidInputError("n must be at least 1")
-    result, left = 1, n
-    for part in _check_shape(n, shape):
-        result *= comb(left - 1, part - 1)
-        left -= part
-    return result
+    return prod(comb(left - 1, part - 1) for left, part in _columns_left(n, shape))
 
 
 def fiber_size(n: int, shape: Sequence[int]) -> Count:
@@ -241,11 +242,7 @@ def fiber_size(n: int, shape: Sequence[int]) -> Count:
 
     Satisfies fiber_size(n, shape) * hook_count(n, shape) = n!.
     """
-    result, left = 1, n
-    for part in _check_shape(n, shape):
-        result *= left * factorial(part - 1)
-        left -= part
-    return result
+    return prod(left * factorial(part - 1) for left, part in _columns_left(n, shape))
 
 
 def bell_hook(n: int) -> Count:
@@ -283,15 +280,13 @@ def ps_project(t: Tableau, alphabet: Sequence[int] | None = None) -> Tableau:
     if alphabet is not None and not content <= set(alphabet):
         raise InvalidInputError("tableau content is not contained in the alphabet")
     cols = [list(col) for col in t.columns]
-    for i in range(len(cols)):
-        best = (cols[i][0], i, 0)
-        for j in range(i, len(cols)):
-            for r, sym in enumerate(cols[j]):
-                if sym < best[0]:
-                    best = (sym, j, r)
-        _, j, r = best
-        cols[j][r], cols[i][0] = cols[i][0], cols[j][r]
-        cols[i].sort()
+    for i, col in enumerate(cols):
+        low = min(chain.from_iterable(cols[i:]))
+        for other in cols[i:]:
+            if low in other:
+                other[other.index(low)], col[0] = col[0], low
+                break
+        col.sort()
     return Tableau._trusted(cols)
 
 

@@ -67,19 +67,14 @@ def standardize(word: Iterable[int], direction: Direction = "left") -> tuple[Sta
     a standard word either way.
     """
     plain = check_word(word, int)
-    if direction == "left":
-        order = range(len(plain))
-    elif direction == "right":
-        order = range(len(plain) - 1, -1, -1)
-    else:
+    if direction not in ("left", "right"):
         raise InvalidInputError(f"direction must be 'left' or 'right', got {direction!r}")
     seen: dict[int, int] = {}
-    out: list[StandardizedSymbol | None] = [None] * len(plain)
-    for pos in order:
-        base = plain[pos]
+    out: list[StandardizedSymbol] = []
+    for base in plain if direction == "left" else reversed(plain):
         seen[base] = seen.get(base, 0) + 1
-        out[pos] = StandardizedSymbol(base, seen[base])
-    return tuple(out)  # type: ignore[arg-type]
+        out.append(StandardizedSymbol(base, seen[base]))
+    return tuple(out if direction == "left" else reversed(out))
 
 
 def destandardize(word: Iterable[StandardizedSymbol]) -> tuple[int, ...]:
@@ -118,20 +113,19 @@ def parse_word(text: str) -> Word:
     """
     tokens = text.replace(",", " ").split()
     if "_" not in text:
-        with suppress(ValueError):  # else the loop below names the first bad token
+        with suppress(ValueError):  # else _parse_symbol names the first bad token
             return check_word(list(map(int, tokens)))
-    out: list[Symbol] = []
-    for tok in tokens:
-        try:
-            if "_" in tok:
-                base_text, index_text = tok.split("_")
-                sym: Symbol = StandardizedSymbol(int(base_text), int(index_text))
-            else:
-                sym = int(tok)
-        except ValueError as exc:
-            raise InvalidInputError(f"cannot parse symbol {tok!r}") from exc
-        out.append(sym)
-    return check_word(out)
+    return check_word(list(map(_parse_symbol, tokens)))
+
+
+def _parse_symbol(tok: str) -> Symbol:
+    try:
+        if "_" in tok:
+            base, index = tok.split("_")  # a ValueError unless exactly one "_"
+            return StandardizedSymbol(int(base), int(index))
+        return int(tok)
+    except ValueError as exc:
+        raise InvalidInputError(f"cannot parse symbol {tok!r}") from exc
 
 
 def format_word(word: Iterable[Symbol]) -> str:

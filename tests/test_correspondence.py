@@ -72,6 +72,35 @@ def test_occurrences_reject_repeated_symbols():
         occurrences((1, 2, 1), "31-2")
 
 
+def _occurrences_by_block_placement(word, pattern):
+    """Place the blocks left to right by recursion, each after the last, leaving room for the rest."""
+    sizes = [len(block) for block in pattern.blocks]
+    suffix = [sum(sizes[i:]) for i in range(len(sizes) + 1)]
+    out = []
+
+    def place(block_idx, start_min, acc):
+        if block_idx == len(sizes):
+            sub = [word[i] for i in acc]
+            if tuple(1 + sum(o < v for o in sub) for v in sub) == pattern.flat():
+                out.append(tuple(i + 1 for i in acc))
+            return
+        for start in range(start_min, len(word) - suffix[block_idx] + 1):
+            place(block_idx + 1, start + sizes[block_idx], acc + tuple(range(start, start + sizes[block_idx])))
+
+    place(0, 0, ())
+    return out
+
+
+def test_occurrences_match_the_block_placement_recursion():
+    patterns = [DashedPattern.parse(text) for text in (
+        "1", "21", "1-2", "31-2", "2-31", "1-2-3", "3-1-2", "1234", "21-43", "4-312", "2-41-3", "3-4-1-2",
+    )] + [DashedPattern(())]
+    for n in range(7):
+        for word in permutations(range(1, n + 1)):
+            for pattern in patterns:
+                assert occurrences(word, pattern) == _occurrences_by_block_placement(word, pattern), (word, pattern)
+
+
 @given(st.lists(st.integers(1, 6), unique=True, max_size=6).map(tuple),
        st.sampled_from(["31-2", "13-2", "23-1", "32-1"]))
 def test_occurrences_invariant_under_order_isomorphism(word, pattern):

@@ -31,6 +31,7 @@ from pstab import (
     ps_project,
     stirling2,
 )
+from pstab.oracle import fillings
 
 evaluations = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4).map(tuple)
 
@@ -213,7 +214,18 @@ def test_stirling_row_matches_the_old_loops():
             assert stirling2(n, k) == _stirling2_by_rows(n, k), (n, k)
 
 
+def _compositions_first_part_descending(n):
+    for first in range(n, 0, -1):
+        if first == n:
+            yield (n,)
+        else:
+            for rest in _compositions_first_part_descending(n - first):
+                yield (first,) + rest
+
+
 def test_compositions_order_and_count():
+    for n in range(1, 13):
+        assert list(compositions(n)) == list(_compositions_first_part_descending(n)), n
     assert list(compositions(1)) == [(1,)]
     assert list(compositions(3)) == [(3,), (2, 1), (1, 2), (1, 1, 1)]
     assert len(list(compositions(4))) == 8
@@ -225,6 +237,14 @@ def test_compositions_order_and_count():
 def test_hook_count_rejects_an_empty_alphabet():
     with pytest.raises(InvalidInputError):
         hook_count(0, ())
+
+
+@pytest.mark.parametrize("count", [hook_count, fiber_size])
+@pytest.mark.parametrize("n", [0, -1])
+def test_shape_counts_refuse_alphabets_below_one_symbol(count, n):
+    for shape in ((), (1,)):
+        with pytest.raises(InvalidInputError, match="^n must be at least 1$"):
+            count(n, shape)
 
 
 def test_hook_count_four_box_table():
@@ -323,6 +343,28 @@ def test_ps_project_validates_input():
         ps_project(Tableau([[1, 1]]))
     with pytest.raises(InvalidInputError):
         ps_project(Tableau([[1, 2]]), alphabet=(2, 3))
+
+
+def _projected_by_box_scan(t):
+    """Step i scans columns i..m box by box for the least symbol, swaps it into column i's bottom box and sorts."""
+    cols = [list(col) for col in t.columns]
+    for i in range(len(cols)):
+        best = (cols[i][0], i, 0)
+        for j in range(i, len(cols)):
+            for r, sym in enumerate(cols[j]):
+                if sym < best[0]:
+                    best = (sym, j, r)
+        _, j, r = best
+        cols[j][r], cols[i][0] = cols[i][0], cols[j][r]
+        cols[i].sort()
+    return Tableau(cols)
+
+
+def test_ps_project_matches_the_box_scan_on_every_small_filling():
+    for n in range(1, 7):
+        for lam in compositions(n):
+            for t in fillings(range(1, n + 1), lam):
+                assert ps_project(t) == _projected_by_box_scan(t), t
 
 
 @given(st.permutations(list(range(1, 7))), st.sampled_from([(6,), (2, 4), (3, 2, 1), (1, 5)]))

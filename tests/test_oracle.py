@@ -11,6 +11,7 @@ from pstab import (
     Budgets,
     CaseResult,
     InvalidInputError,
+    StandardizedSymbol,
     Tableau,
     TableauPair,
     TwoRowedArray,
@@ -434,6 +435,45 @@ def _inserting_21_as_12(real):
     return lambda w, mode: real((1, 2) if tuple(w) == (2, 1) else w, mode)
 
 
+def _blind_past_nine(real):
+    """``occurrences`` that finds nothing once a word holds a symbol above 9."""
+    return lambda word, pattern: real(word, pattern) if max(word, default=0) < 10 else []
+
+
+def _stacking_one_one(real):
+    """``ps_project`` that stacks a (1, 1) filling into one sorted column."""
+    return lambda t, alphabet=None: Tableau._trusted([sorted(t.content())]) if t.shape == (1, 1) else real(t, alphabet)
+
+
+def _with_one_rps_row(real):
+    """``insertion_image`` plus, in rps, the one-row tableau of the evaluation's sorted word."""
+    def defect(ev, mode, max_total=10):
+        row = [[sym] for sym in next(words_with_evaluation(ev))]
+        return real(ev, mode, max_total) | ({Tableau._trusted(row)} if mode == "rps" else set())
+
+    return defect
+
+
+def _bottom_row_reversed(real):
+    """``reverse_insertion`` with the bottom row of its array reversed."""
+    def defect(pair, mode):
+        arr = real(pair, mode)
+        return TwoRowedArray(arr.top, arr.bottom[::-1])
+
+    return defect
+
+
+def _swapped_on_standardized(real):
+    """``array_insert`` that returns (Q, P) for an array holding a standardized symbol."""
+    def defect(arr, mode):
+        p, q = real(arr, mode)
+        standardized = any(isinstance(sym, StandardizedSymbol) for sym in arr.top + arr.bottom)
+        return TableauPair(q, p) if standardized else TableauPair(p, q)
+
+    return defect
+
+
+STABLE_SET_SCAN = "round trip and pattern scan disagree on"
 # a defect's id, the oracle binding it is injected into, the defect, and the
 # (case, observation) pairs it fails
 DEFECTS = {
@@ -501,6 +541,45 @@ DEFECTS = {
         *((f"{mode} word roundtrip", "1 violations, first: 2 1: reading back failed") for mode in ("lps", "rps")),
         *((f"{mode} identity-top array matches word insertion", "1 violations, first: 2 1")
           for mode in ("lps", "rps")),
+    }),
+    "occurrences_blind_past_nine": ("occurrences", _blind_past_nine, {
+        ("pattern occurrences invariant under order-isomorphic relabeling",
+         "4 violations, first: 1 3 2 vs relabeling, pattern 13-2"),
+    }),
+    "ps_project_stacks_one_one": ("ps_project", _stacking_one_one, {
+        ("projection idempotent, preserving, fixing standard tableaux",
+         "3 violations, first: n=2, shape=(1, 1): shape or content changed"),
+        ("three tableau enumerators agree", "disagree"),
+        (FIBERS_UNIFORM, "projection image differs from the standard tableaux"),
+    }),
+    "insertion_image_rps_row": ("insertion_image", _with_one_rps_row, {
+        ("bottom row length within its bounds", "4 violations, first: rps ev=(1, 2), shape=(1, 1, 1)"),
+        *(("rps tableau count, formula vs brute force", count) for count in ("2", "3", "4")),
+    }),
+    "reverse_insertion_bottom_reversed": ("reverse_insertion", _bottom_row_reversed, {
+        ("lps array roundtrip", "27 violations, first: (1 1 / 1 2)"),
+        ("rps array roundtrip", "27 violations, first: (1 1 / 2 1)"),
+    }),
+    "is_stable_pair_never": ("is_stable_pair", lambda real: lambda pair, mode, level: False, {
+        *((f"{mode} {level}-level roundtrip", f"{count} violations, first: {label}: image not a stable pair")
+          for mode in ("lps", "rps") for level, count, label in (("word", 40, ""), ("array", 55, "( / )"))),
+        *((f"{mode} word-level stable pairs are exactly the insertion image",
+           f"6 violations, first: 1 boxes: {STABLE_SET_SCAN} 3 pairs") for mode in ("lps", "rps")),
+        *((f"{mode} array-level stable pairs are exactly the insertion image",
+           f"4 violations, first: 1 boxes: {STABLE_SET_SCAN} 9 pairs") for mode in ("lps", "rps")),
+        *(("standard-level stable pairs count", f"0 stable pairs; {STABLE_SET_SCAN} {count} pairs")
+          for count in (1, 2, 6)),
+    }),
+    "array_insert_swaps_standardized": ("array_insert", _swapped_on_standardized, {
+        (f"{mode} array standardization laws", "192 violations, first: (1 / 1): recording standardization (top only)")
+        for mode in ("lps", "rps")
+    }),
+    "standardize_always_left": ("standardize", lambda real: lambda word, direction="left": real(word, "left"), {
+        ("rps array standardization laws",
+         "InvalidInputError: array (1 1 / 1_1 1_2) is not reverse lexicographic (r-array)"),
+        ("rps standardization laws", "66 violations, first: 1 1: standardized word inserts differently"),
+        ("rps words inserting to a standardized tableau are standardizations",
+         "26 violations, first: 1_2 1_1 inserts to Std(1 1)"),
     }),
 }
 

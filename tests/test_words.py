@@ -1,3 +1,5 @@
+from itertools import product
+
 from hypothesis import given, strategies as st
 import pytest
 
@@ -45,6 +47,23 @@ def test_standardize_rejects_bad_direction():
 def test_standardize_rejects_nonpositive_symbols():
     with pytest.raises(InvalidInputError):
         standardize((0, 1), "left")
+
+
+def _standardized_by_position(word, direction):
+    """Fill a slot per position, visiting the positions left to right or right to left."""
+    order = range(len(word)) if direction == "left" else range(len(word) - 1, -1, -1)
+    seen, out = {}, [None] * len(word)
+    for pos in order:
+        seen[word[pos]] = seen.get(word[pos], 0) + 1
+        out[pos] = S(word[pos], seen[word[pos]])
+    return tuple(out)
+
+
+def test_standardize_matches_the_positional_fill():
+    for length in range(7):
+        for word in product(range(1, 4), repeat=length):
+            for direction in ("left", "right"):
+                assert standardize(word, direction) == _standardized_by_position(word, direction), word
 
 
 def test_destandardize_worked_example():
@@ -145,6 +164,11 @@ def test_parse_word_rejects_garbage():
         ("1_1 2", "expected only standardized symbols, got 2"),
         ("3 2_1", "expected only plain symbols, got 2_1"),
         ("1_2_3", "cannot parse symbol '1_2_3'"),
+        ("1__2", "cannot parse symbol '1__2'"),
+        ("2_1 1_", "cannot parse symbol '1_'"),
+        ("_1", "cannot parse symbol '_1'"),
+        ("1 _", "cannot parse symbol '_'"),
+        ("1_1 x", "cannot parse symbol 'x'"),
     ):
         with pytest.raises(InvalidInputError) as exc:
             parse_word(text)
