@@ -62,13 +62,15 @@ def bracket_lps(m: Sequence[int], j: Sequence[int]) -> Count:
 
 
 def bracket_rps(m_tail: Sequence[int], j1: int, j: Sequence[int]) -> Count:
-    """Number of rPS tableaux with evaluation tail ``m_tail`` = (m_2, ..., m_n)
-    whose bottom row is the 0-1 sequence (1, j_2, ..., j_n).
+    """The product over a = 2..n of C(m_a + j_1 + ... + j_{a-1}, m_a - j_a), for
+    the evaluation tail ``m_tail`` = (m_2, ..., m_n) and 0-1 entries j_a.
 
-    Equals the product over a = 2..n of C(m_a + j_1 + j_2 + ... + j_{a-1},
-    m_a - j_a).  Taking ``j1`` = 0 or 1 gives the same product, because the
-    first factor C(m_2 + j_1, m_2 - j_2) only shifts by a compensating term
-    absorbed in the running sum; both parameterizations are accepted.
+    The lead ``j1`` counts the columns the tail finds beyond the first.  Lead 0
+    (:func:`pstab.oracle.bracket_sum_rps`) counts the rPS tableaux with
+    evaluation (m_1, ..., m_n), any m_1, whose bottom row is (1, j_2, ..., j_n).
+    Lead 1 (:func:`count_rps_rec`) counts those with evaluation
+    (m_1, 1, m_2, ..., m_n) and bottom row (1, 1, j_2, ..., j_n), so
+    ``bracket_rps((1,), 0, (0,))`` is 1 but ``bracket_rps((1,), 1, (0,))`` is 2.
     """
     if len(j) != len(m_tail):
         raise InvalidInputError(f"need {len(m_tail)} bottom-row entries, got {len(j)}")

@@ -222,62 +222,36 @@ def fiber_bruteforce(
 
 
 def insertion_image(ev: Sequence[int], mode: Mode, max_total: int = 10) -> set[Tableau]:
-    """``{ps_insert(w, mode) for w in words_with_evaluation(ev)}``, by one walk.
+    """``{ps_insert(w, mode) for w in words_with_evaluation(ev)}``, layer by layer.
 
-    A depth-first walk over the words keeps one insertion state and undoes a
-    step as it backs out, so words that share a prefix share its steps.  No
-    state is merged: every word is inserted in full and read at its leaf.
+    Layer k is the set of distinct states (columns, copies left of each
+    symbol) that the first k symbols of the words reach.  A step reads only
+    the columns and the symbol, so words that reach the same state end in the
+    same tableaux, and merging them loses nothing.
     """
     _normalize_evaluation(ev)
     total = sum(ev)
     if total > max_total:
         raise BudgetExceededError(f"evaluation sum {total} exceeds the budget of {max_total}")
     bisect = mode_spec(mode).bisect
-    symbols = [a + 1 for a, m in enumerate(ev) if m]
-    left = [m for m in ev if m]
-    n, last = len(symbols), total - 1
-    cols: list[tuple[Symbol, ...]] = []  # bottom box first, as in a Tableau
-    heads: list[Symbol] = []
-    path: list[tuple[int, int, tuple[Symbol, ...]]] = []  # (symbol index, column, the column before)
-    keys: set[tuple[tuple[Symbol, ...], ...]] = set()
-    i = 0
-    while True:
-        while i < n and not left[i]:
-            i += 1
-        if i < n:  # insert symbol i at the next position
-            value = symbols[i]
-            m = bisect(heads, value)
-            if m == len(heads):
-                cols.append(())
-                heads.append(value)
-            old = cols[m]
-            cols[m] = (value,) + old
-            if len(path) < last:
-                left[i] -= 1
-                heads[m] = value
-                path.append((i, m, old))
-                i = 0
-                continue
-            keys.add(tuple(cols))  # a leaf: the one symbol left completes the word
-            i = n
-        elif path:  # every symbol tried at this position: undo the step that led here
-            i, m, old = path.pop()
-            left[i] += 1
-            i += 1
-        else:
-            return {Tableau._trusted(key) for key in keys}
-        if old:  # undo: restore the bumped column, or drop the one the step started
-            cols[m] = old
-            heads[m] = old[0]
-        else:
-            cols.pop()
-            heads.pop()
+    layer = {((), tuple(ev))}  # columns bottom box first, as in a Tableau
+    for _ in range(total):
+        grown = set()
+        for cols, left in layer:
+            heads = [col[0] for col in cols]
+            for a, m in enumerate(left):
+                if m:  # the symbol a + 1 goes to the bottom of the column it bumps, or a new one
+                    k = bisect(heads, a + 1)
+                    col = (a + 1,) + cols[k] if k < len(cols) else (a + 1,)
+                    grown.add((cols[:k] + (col,) + cols[k + 1 :], left[:a] + (m - 1,) + left[a + 1 :]))
+        layer = grown
+    return {Tableau._trusted(cols) for cols, _ in layer}
 
 
 def count_tableaux_bruteforce(ev: Sequence[int], mode: Mode, max_total: int = 10) -> int:
     """Number of distinct tableaux obtained by inserting every word with
-    evaluation ``ev``: the size of :func:`insertion_image`, which inserts
-    all of them along one walk that shares the steps of common prefixes."""
+    evaluation ``ev``: the size of :func:`insertion_image`, which grows the
+    words one symbol at a time and keeps each layer's distinct states."""
     return len(insertion_image(ev, mode, max_total))
 
 

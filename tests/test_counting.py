@@ -56,6 +56,9 @@ def test_bracket_rps_examples():
     assert bracket_rps((2,), 1, (0,)) == 3
     assert bracket_rps((2,), 1, (1,)) == 3
     assert bracket_rps((5,), 0, (1,)) == 5
+    # the lead counts the columns the tail finds beyond the first
+    assert bracket_rps((1,), 0, (0,)) == 1
+    assert bracket_rps((1,), 1, (0,)) == 2
     with pytest.raises(InvalidInputError):
         bracket_rps((2, 3), 0, (1,))
 

@@ -16,6 +16,8 @@ from pstab import (
     TableauPair,
     TwoRowedArray,
     VerificationReport,
+    count_lps,
+    count_rps,
     count_set_partitions,
     count_tableaux_bruteforce,
     enumerate_pstab,
@@ -72,11 +74,17 @@ def test_count_tableaux_bruteforce_worked_values():
     assert count_tableaux_bruteforce((2, 1, 2), "rps") == 9
     assert count_tableaux_bruteforce((4,), "lps") == 1
     assert count_tableaux_bruteforce((4,), "rps") == 1
+    # at the default budget's edge, sum 10, brute force still meets the closed forms
+    assert count_tableaux_bruteforce((3, 3, 4), "lps") == count_lps((3, 3, 4)) == 206
+    assert count_tableaux_bruteforce((3, 3, 4), "rps") == count_rps((3, 3, 4)) == 50
 
 
 def test_count_tableaux_bruteforce_budget():
     with pytest.raises(BudgetExceededError):
         count_tableaux_bruteforce((6, 6), "lps", max_total=10)
+    for mode in ("lps", "rps"):
+        with pytest.raises(BudgetExceededError, match="^evaluation sum 11 exceeds the budget of 10$"):
+            count_tableaux_bruteforce((3, 3, 5), mode)
 
 
 def _inserted_one_by_one(ev, mode):
@@ -581,7 +589,18 @@ DEFECTS = {
         ("rps words inserting to a standardized tableau are standardizations",
          "26 violations, first: 1_2 1_1 inserts to Std(1 1)"),
     }),
+    "standardize_always_right": ("standardize", lambda real: lambda word, direction="left": real(word, "right"), {
+        ("lps array standardization laws",
+         "InvalidInputError: array (1_2 1_1 / 1 1) is not lexicographic (l-array)"),
+        ("rps array standardization laws",
+         "InvalidInputError: array (1_2 1_1 / 1 1) is not reverse lexicographic (r-array)"),
+        ("lps standardization laws", "66 violations, first: 1 1: standardized word inserts differently"),
+        ("lps words inserting to a standardized tableau are standardizations",
+         "26 violations, first: 1_1 1_2 inserts to Std(1 1)"),
+    }),
 }
+# the scale every entry of DEFECTS is measured at
+DEFECT_MAX_N, DEFECT_BUDGETS = 3, Budgets(word_len=3, array_len=2, eval_sum=3)
 
 
 @pytest.mark.parametrize("name", DEFECTS)
@@ -590,8 +609,16 @@ def test_verify_suite_reports_each_injected_defect(monkeypatch, name):
 
     binding, defect, failures = DEFECTS[name]
     monkeypatch.setattr(oracle, binding, defect(getattr(oracle, binding)))
-    report = verify_suite(max_n=3, budgets=Budgets(word_len=3, array_len=2, eval_sum=3))
+    report = verify_suite(max_n=DEFECT_MAX_N, budgets=DEFECT_BUDGETS)
     assert {(case.name, case.oracle) for case in report.failures()} == failures
+
+
+def test_every_case_family_fails_under_some_defect():
+    # a new family arrives with its defect
+    families = {entry.name for entry in _case_table(DEFECT_MAX_N, DEFECT_BUDGETS)}
+    caught = {name for _, _, failures in DEFECTS.values() for name, _ in failures}
+    assert len(families) == 42
+    assert families - caught == set()
 
 
 def _flipped(t):
