@@ -2,9 +2,10 @@
 
 Exhaustive enumeration of words, fillings, tableaux, arrays, and tableau
 pairs, used to validate every counting formula and bijection in the package.
-Budgets are explicit and conservative; raise them from the CLI when you want
-a bigger sweep.  All enumeration orders are deterministic (lexicographic), so
-a failing case is reproducible by its report line.
+Three conservative budgets size the sweeps: the word length, the array length
+and the evaluation sum, which the CLI raises for a bigger sweep; the case table
+fixes every other size.  All enumeration orders are deterministic
+(lexicographic), so a failing case is reproducible by its report line.
 """
 
 from __future__ import annotations
@@ -475,36 +476,27 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class Budgets:
-    """Sweep sizes for the verification suite; conservative by default."""
+    """Sweep sizes for the verification suite; conservative by default.
 
-    word_alphabet: int = 3
+    The case table fixes the other sizes: words and arrays over an alphabet of
+    3, at most 4 symbols in the brute-force evaluations, sum <= 10 over <= 5
+    symbols for "closed form equals recursion", at most 4 boxes for the
+    standardized preimages, and n <= max(12, max_n) for the formula families.
+    """
+
     word_len: int = 4
-    array_alphabet: int = 3
     array_len: int = 4
     eval_sum: int = 8
-    eval_symbols: int = 4
-    rec_eval_sum: int = 10
-    rec_eval_symbols: int = 5
-    reading_boxes: int = 4
-    formula_n: int = 12
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if value < 0:
-                raise InvalidInputError(f"budget {name} must be nonnegative, got {value}")
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise InvalidInputError(f"budget {name} must be a nonnegative integer, got {value!r}")
 
 
 def _positive_evaluations(max_sum: int, max_parts: int) -> list[tuple[int, ...]]:
     # an evaluation without zero entries is a composition of its sum
     return sorted(ev for n in range(1, max_sum + 1) for ev in compositions(n) if len(ev) <= max_parts)
-
-
-def _pairs_by_shape(firsts: Iterable[Tableau], seconds: Iterable[Tableau]) -> Iterator[TableauPair]:
-    """Each first tableau paired with every second tableau of its shape."""
-    by_shape: dict[Shape, list[Tableau]] = {}
-    for q in seconds:
-        by_shape.setdefault(q.shape, []).append(q)
-    return (TableauPair(p, q) for p in firsts for q in by_shape[p.shape])
 
 
 # ---------------------------------------------------------------------------
@@ -615,13 +607,16 @@ def _rsk_roundtrip(mode: Mode, level: str, value: Word | TwoRowedArray) -> Itera
 
 
 def _check_stable_set(
-    mode: Mode, level: StablePairLevel, candidates: Iterable[TableauPair], image: set[TableauPair]
+    mode: Mode, level: StablePairLevel, firsts: list[Tableau], seconds: list[Tableau], image: set[TableauPair]
 ) -> tuple[int, list[str]]:
-    # members by round trip, and what is wrong: membership is tested once per
-    # pair and method (round trip, pattern scan), and both must give the image
+    # members by round trip, and what is wrong: each first tableau meets every second of its shape,
+    # membership is tested once per pair and method (round trip, pattern scan), and both must give the image
+    by_shape: dict[Shape, list[Tableau]] = {}
+    for q in seconds:
+        by_shape.setdefault(q.shape, []).append(q)
     by_trip: set[TableauPair] = set()
     by_scan: set[TableauPair] = set()
-    for pair in candidates:
+    for pair in (TableauPair(p, q) for p in firsts for q in by_shape[p.shape]):
         if is_stable_pair(pair, mode, level):
             by_trip.add(pair)
         if is_stable_pair_scan(pair, mode, level):
@@ -635,17 +630,16 @@ def _check_stable_set(
 
 
 def _word_stable_set(mode: Mode, alphabet_size: int, boxes: int) -> Iterator[str]:
-    candidates = _pairs_by_shape(mode_tableaux(alphabet_size, boxes, mode), enumerate_pstab(range(1, boxes + 1)))
+    firsts, seconds = mode_tableaux(alphabet_size, boxes, mode), enumerate_pstab(range(1, boxes + 1))
     image = {rsk(w, mode) for w in words_over(alphabet_size, boxes)}
-    for problem in _check_stable_set(mode, "word", candidates, image)[1]:
+    for problem in _check_stable_set(mode, "word", firsts, seconds, image)[1]:
         yield f"{boxes} boxes: {problem}"
 
 
 def _array_stable_set(mode: Mode, alphabet_size: int, boxes: int) -> Iterator[str]:
     tabs = mode_tableaux(alphabet_size, boxes, mode)
-    candidates = _pairs_by_shape(tabs, tabs)
     image = {rsk(arr, mode) for arr in arrays_over(alphabet_size, boxes, mode)}
-    for problem in _check_stable_set(mode, "array", candidates, image)[1]:
+    for problem in _check_stable_set(mode, "array", tabs, tabs, image)[1]:
         yield f"{boxes} boxes: {problem}"
 
 
@@ -743,13 +737,11 @@ def _projection_laws(item: tuple[int, Shape, Tableau]) -> Iterator[str]:
 
 
 def _standard_stable_pairs(n: int) -> tuple[str, str]:
-    image = {extended_insert(sigma, "lps"): sigma for sigma in permutations(range(1, n + 1))}
-    problems: list[str] = []
-    if len(image) != factorial(n):
-        problems.append(f"insertion not injective on {n}!")
+    image = {extended_insert(sigma, "lps") for sigma in permutations(range(1, n + 1))}
     tabs = enumerate_pstab(range(1, n + 1))
-    members, found = _check_stable_set("lps", "standard", _pairs_by_shape(tabs, tabs), set(image))
-    problems += found
+    members, problems = _check_stable_set("lps", "standard", tabs, tabs, image)
+    if len(image) != factorial(n):
+        problems.insert(0, f"insertion not injective on {n}!")
     observed = f"{members} stable pairs" + ("" if not problems else "; " + problems[0])
     return f"{factorial(n)} stable pairs", observed
 
@@ -868,26 +860,27 @@ def _case_table(max_n: int, b: Budgets) -> Iterator[_Entry]:
     a check calls are looked up when it runs, so code that rebinds them in
     this module (a test's fake, a tracer) sees every call.
     """
-    words = partial(words_up_to, b.word_alphabet, b.word_len)
-    word_sweep = f"words over A_{b.word_alphabet}, length <= {b.word_len}"
-    array_sweep = f"arrays over A_{b.array_alphabet}, length <= {b.array_len}"
-    formula_n = max(b.formula_n, max_n)
+    alphabet = 3
+    words = partial(words_up_to, alphabet, b.word_len)
+    word_sweep = f"words over A_{alphabet}, length <= {b.word_len}"
+    array_sweep = f"arrays over A_{alphabet}, length <= {b.array_len}"
+    formula_n = max(12, max_n)
 
     case = partial(_Entry, "insertion")
     for mode in MODE_SPECS:
         yield case(f"{mode} insertion well-formed", word_sweep,
-                   partial(_insertion_well_formed, mode, b.word_alphabet), words)
+                   partial(_insertion_well_formed, mode, alphabet), words)
         yield case(f"{mode} standardization laws", word_sweep, partial(_word_standardization_laws, mode), words)
         yield case(f"{mode} word roundtrip", word_sweep, partial(_word_reads_back, mode), words)
     for mode in MODE_SPECS:
-        arrays = partial(arrays_up_to, b.array_alphabet, b.array_len, mode)
+        arrays = partial(arrays_up_to, alphabet, b.array_len, mode)
         yield case(f"{mode} array roundtrip", array_sweep, partial(_array_reverses, mode), arrays)
         yield case(f"{mode} identity-top array matches word insertion", array_sweep,
-                   partial(_identity_top_array, mode), partial(words_up_to, b.array_alphabet, b.array_len))
+                   partial(_identity_top_array, mode), partial(words_up_to, alphabet, b.array_len))
     for mode in MODE_SPECS:
         yield case(f"{mode} words inserting to a standardized tableau are standardizations",
-                   f"tableaux from words over A_2, <= {b.reading_boxes} boxes",
-                   partial(_standardized_preimages, mode), partial(_distinct_insertions, mode, b.reading_boxes))
+                   "tableaux from words over A_2, <= 4 boxes",
+                   partial(_standardized_preimages, mode), partial(_distinct_insertions, mode, 4))
 
     case = partial(_Entry, "correspondence")
     for n in range(1, max_n + 1):
@@ -895,17 +888,17 @@ def _case_table(max_n: int, b: Budgets) -> Iterator[_Entry]:
     for mode in MODE_SPECS:
         yield case(f"{mode} word-level roundtrip", word_sweep, partial(_rsk_roundtrip, mode, "word"), words)
         yield case(f"{mode} word-level stable pairs are exactly the insertion image",
-                   f"over A_{b.word_alphabet}, <= {b.word_len} boxes",
-                   partial(_word_stable_set, mode, b.word_alphabet), partial(range, 1, b.word_len + 1))
+                   f"over A_{alphabet}, <= {b.word_len} boxes",
+                   partial(_word_stable_set, mode, alphabet), partial(range, 1, b.word_len + 1))
     for mode in MODE_SPECS:
-        arrays = partial(arrays_up_to, b.array_alphabet, b.array_len, mode)
+        arrays = partial(arrays_up_to, alphabet, b.array_len, mode)
         yield case(f"{mode} array-level roundtrip", array_sweep, partial(_rsk_roundtrip, mode, "array"), arrays)
         yield case(f"{mode} array-level stable pairs are exactly the insertion image",
-                   f"over A_{b.array_alphabet}, <= {b.array_len} boxes",
-                   partial(_array_stable_set, mode, b.array_alphabet), partial(range, 1, b.array_len + 1))
+                   f"over A_{alphabet}, <= {b.array_len} boxes",
+                   partial(_array_stable_set, mode, alphabet), partial(range, 1, b.array_len + 1))
     for mode in MODE_SPECS:
         yield case(f"{mode} array standardization laws", array_sweep, partial(_array_standardization_laws, mode),
-                   partial(_nonempty_arrays, b.array_alphabet, b.array_len, mode))
+                   partial(_nonempty_arrays, alphabet, b.array_len, mode))
     relabel_len = min(b.word_len, 4)
     yield case("pattern occurrences invariant under order-isomorphic relabeling",
                f"standard words of length <= {relabel_len}",
@@ -914,18 +907,17 @@ def _case_table(max_n: int, b: Budgets) -> Iterator[_Entry]:
                "pair ([[1,2,3],[1]], [[1,3,4],[2]]), reading 3121", _non_member_rejected)
 
     case = partial(_Entry, "counting")
-    evaluations = _positive_evaluations(b.eval_sum, b.eval_symbols)
+    evaluations = _positive_evaluations(b.eval_sum, 4)
     for ev in evaluations:
         for mode in MODE_SPECS:
             yield case(f"{mode} tableau count, formula vs brute force", f"ev={ev}",
                        partial(_count_vs_bruteforce, mode, b.eval_sum, ev))
     if not evaluations:  # one case per evaluation, so report the family's empty sweep itself
         yield case("tableau count, formula vs brute force",
-                   f"evaluations with sum <= {b.eval_sum}, <= {b.eval_symbols} symbols",
+                   f"evaluations with sum <= {b.eval_sum}, <= 4 symbols",
                    _no_violations, partial(iter, evaluations))
-    yield case("closed form equals recursion",
-               f"evaluations with sum <= {b.rec_eval_sum}, <= {b.rec_eval_symbols} symbols",
-               _closed_form_is_recursion, partial(_positive_evaluations, b.rec_eval_sum, b.rec_eval_symbols))
+    yield case("closed form equals recursion", "evaluations with sum <= 10, <= 5 symbols",
+               _closed_form_is_recursion, partial(_positive_evaluations, 10, 5))
     small_sum = min(b.eval_sum, 6)
     small_evaluations = partial(_positive_evaluations, small_sum, 3)
     yield case("counts ignore zero entries", "padded evaluations", _zero_entries_ignored, small_evaluations)

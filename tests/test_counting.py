@@ -143,6 +143,15 @@ def test_bell_rowsum_worked_values():
             refused(0)
 
 
+def test_bell_rowsum_terms_are_the_count_brackets_on_standard_words():
+    # the paper restricts the lPS and rPS formulas to standard words, evaluation (1, ..., 1),
+    # and reads the Bell expansion off them: term j is the bracket at bottom row j
+    for n in range(1, 13):
+        rows = list(product((0, 1), repeat=n - 1))
+        assert bell_rowsum_terms(n) == [bracket_lps((1,) * n, j) for j in rows]
+        assert bell_rowsum_terms(n) == [bracket_rps((1,) * (n - 1), 0, j) for j in rows]
+
+
 def test_bell_hook_rejects_nonpositive():
     with pytest.raises(InvalidInputError):
         bell_hook(0)

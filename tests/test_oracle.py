@@ -1,5 +1,6 @@
 import json
 import pickle
+from dataclasses import fields
 from itertools import permutations, product
 from math import factorial, prod
 
@@ -233,10 +234,17 @@ def test_case_table_pickles_for_the_pool(eval_sum):
     assert len(pickle.loads(pickle.dumps(table))) == len(table)
 
 
-@pytest.mark.parametrize("field", ["word_len", "array_len", "eval_sum", "word_alphabet", "formula_n"])
+@pytest.mark.parametrize("field", ["word_len", "array_len", "eval_sum"])
 def test_budgets_reject_negative_sizes(field):
-    with pytest.raises(InvalidInputError):
-        Budgets(**{field: -1})
+    # and sizes that are not integers: a float sweep would fail its cases with a TypeError,
+    # and True would run as 1
+    for value in (-1, 2.5, "4", None, True):
+        with pytest.raises(InvalidInputError):
+            Budgets(**{field: value})
+
+
+def test_budgets_are_the_three_sizes_callers_set():
+    assert [(f.name, f.default) for f in fields(Budgets)] == [("word_len", 4), ("array_len", 4), ("eval_sum", 8)]
 
 
 def test_verify_suite_rejects_bad_jobs():
