@@ -24,7 +24,7 @@ from .tableaux import (
     render_latex,
     tableau_from_json,
 )
-from .words import StandardizedSymbol, format_word, parse_word
+from .words import StandardizedSymbol, _parse_int, format_word, parse_word
 
 # pstab.oracle is imported only inside the two commands that run it (verify,
 # bell --method oracle), and json only inside unrsk, so that no other request
@@ -155,22 +155,20 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_bell(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise InvalidInputError("n must be at least 1")
+    n = _parse_int(args.n, "n")
     if args.method == "rowsum":
-        _print_count(bell_rowsum(args.n))
+        _print_count(bell_rowsum(n))
     elif args.method == "hook":
-        _print_count(bell_hook(args.n))
+        _print_count(bell_hook(n))
     else:
         from .oracle import count_set_partitions
 
-        _print_count(count_set_partitions(args.n))
+        _print_count(count_set_partitions(n))
     return 0
 
 
 def _cmd_hook(args: argparse.Namespace) -> int:
-    shape = parse_shape(args.shape)
-    _print_count(hook_count(args.n, shape))
+    _print_count(hook_count(_parse_int(args.n, "n"), parse_shape(args.shape)))
     return 0
 
 
@@ -178,8 +176,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .oracle import Budgets, verify_suite
 
     flags = {"word_len": args.word_len, "array_len": args.array_len, "eval_sum": args.eval_sum}
-    budgets = Budgets(**{name: value for name, value in flags.items() if value is not None})
-    report = verify_suite(max_n=args.max_n, budgets=budgets, jobs=args.jobs)
+    sizes = {name: _parse_int(text, f"budget {name}", 0) for name, text in flags.items() if text is not None}
+    report = verify_suite(_parse_int(args.max_n, "max_n"), Budgets(**sizes), _parse_int(args.jobs, "jobs"))
     print(report.to_json() if args.json else report.to_text())
     return 0 if report.passed else 1
 
@@ -231,22 +229,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.set_defaults(func=_cmd_count)
 
     p_bell = sub.add_parser("bell", help="n-th Bell number")
-    p_bell.add_argument("n", type=int)
+    p_bell.add_argument("n")
     p_bell.add_argument("--method", choices=["rowsum", "hook", "oracle"], default="rowsum")
     p_bell.set_defaults(func=_cmd_bell)
 
     p_hook = sub.add_parser("hook", help="standard tableaux of one composition shape")
-    p_hook.add_argument("--n", type=int, required=True, help="alphabet size")
+    p_hook.add_argument("--n", required=True, help="alphabet size")
     p_hook.add_argument("--shape", required=True, help="composition like '3,1'")
     p_hook.set_defaults(func=_cmd_hook)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument("--max-n", type=int, default=4, dest="max_n")
+    p_verify.add_argument("--max-n", default="4", dest="max_n")
     p_verify.add_argument("--json", action="store_true", help="machine-readable report")
-    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes sharing the cases")
-    p_verify.add_argument("--word-len", type=int, dest="word_len")
-    p_verify.add_argument("--array-len", type=int, dest="array_len")
-    p_verify.add_argument("--eval-sum", type=int, dest="eval_sum")
+    p_verify.add_argument("--jobs", default="1", help="worker processes sharing the cases")
+    p_verify.add_argument("--word-len", dest="word_len")
+    p_verify.add_argument("--array-len", dest="array_len")
+    p_verify.add_argument("--eval-sum", dest="eval_sum")
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -71,7 +71,7 @@ class DashedPattern(_Value):
         """Parse literals like ``"31-2"`` (single-digit symbols, dashes between blocks)."""
         blocks = []
         for part in text.split("-"):
-            if not part or not part.isdigit():
+            if not (part.isascii() and part.isdigit()):  # "".isdigit() is False
                 raise InvalidInputError(f"cannot parse pattern {text!r}")
             blocks.append(tuple(int(ch) for ch in part))
         return cls(tuple(blocks))

@@ -22,23 +22,18 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError
 from .tableaux import Shape, Tableau
-from .words import Evaluation
+from .words import Evaluation, _check_int, _parse_int
 
 Count = int
 
 
 def binomial(m: int, k: int) -> Count:
     """Binomial coefficient with the convention that out-of-range ``k`` gives 0."""
-    if k < 0 or k > m:
-        return 0
-    return comb(m, k)
+    return comb(m, k) if 0 <= k <= m else 0
 
 
 def _normalize_evaluation(m: Iterable[int]) -> tuple[int, ...]:
-    ev = tuple(m)
-    if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in ev):
-        raise InvalidInputError(f"evaluation entries must be nonnegative integers: {ev!r}")
-    positive = tuple(x for x in ev if x > 0)
+    positive = tuple(x for x in m if _check_int(x, "evaluation entry", 0))
     if not positive:
         raise InvalidInputError("evaluation must have at least one positive entry")
     return positive
@@ -98,8 +93,8 @@ def count_lps(m: Iterable[int]) -> Count:
     for m_a in ev[1:]:
         step: dict[int, int] = {}
         for top, w in ways.items():
-            for j in range(m_a + 1):
-                step[top + j] = step.get(top + j, 0) + w * binomial(top, m_a - j)
+            for j in range(max(0, m_a - top), m_a + 1):  # C(top, m_a - j) = 0 below
+                step[top + j] = step.get(top + j, 0) + w * comb(top, m_a - j)
         ways = step
     return sum(ways.values())
 
@@ -178,9 +173,7 @@ def bell_rowsum(n: int) -> Count:
     of :func:`pstab.oracle.bell_rowsum_terms`, whose sum checks it.  Equals
     ``count_lps((1,) * n)`` and ``count_rps((1,) * n)``.
     """
-    if n < 1:
-        raise InvalidInputError("n must be at least 1")
-    return sum(_stirling_row(n, n))
+    return sum(_stirling_row(_check_int(n, "n"), n))
 
 
 def stirling2(n: int, k: int) -> Count:
@@ -189,8 +182,7 @@ def stirling2(n: int, k: int) -> Count:
     Also the number of standard tableaux over an n-symbol alphabet with
     exactly k columns.  Out-of-range ``k`` gives 0.
     """
-    if n < 1:
-        raise InvalidInputError("n must be at least 1")
+    _check_int(n, "n")
     return _stirling_row(n, k)[k] if 0 <= k <= n else 0
 
 
@@ -198,18 +190,14 @@ def compositions(n: int) -> Iterator[Shape]:
     """All 2^(n-1) compositions of ``n``, first part descending, then the tail
     recursively: (3), (2,1), (1,2), (1,1,1).  This order is part of the CLI
     contract for verification reports."""
-    if n < 1:
-        raise InvalidInputError("n must be at least 1")
-    yield (n,)
+    yield (_check_int(n, "n"),)
     for first in range(n - 1, 0, -1):
         for rest in compositions(n - first):
             yield (first,) + rest
 
 
 def _check_shape(n: int, shape: Sequence[int]) -> tuple[int, ...]:
-    lam = tuple(shape)
-    if any(not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in lam):
-        raise InvalidInputError(f"shape parts must be positive integers: {lam!r}")
+    lam = tuple(_check_int(x, "shape part") for x in shape)
     if sum(lam) != n:
         raise InvalidInputError(f"shape {lam!r} is not a composition of {n}")
     return lam
@@ -217,9 +205,7 @@ def _check_shape(n: int, shape: Sequence[int]) -> tuple[int, ...]:
 
 def _columns_left(n: int, shape: Sequence[int]) -> Iterator[tuple[int, int]]:
     """(boxes in this column and those right of it, part) for each column of ``shape``."""
-    if n < 1:
-        raise InvalidInputError("n must be at least 1")
-    lam = _check_shape(n, shape)
+    lam = _check_shape(_check_int(n, "n"), shape)
     return zip(accumulate(lam, sub, initial=n), lam)
 
 
@@ -257,11 +243,9 @@ def bell_hook(n: int) -> Count:
     the 2^(n-1) hook counts of the literal sum,
     :func:`pstab.oracle.bell_hook_sum`, which checks it.
     """
-    if n < 1:
-        raise InvalidInputError("n must be at least 1")
     bell = [1]
     row = [1]  # row[i] = C(r - 1, i)
-    for _ in range(n):
+    for _ in range(_check_int(n, "n")):
         bell.append(sum(c * b for c, b in zip(row, reversed(bell))))
         row = [1] + [x + y for x, y in zip(row, row[1:])] + [1]
     return bell[n]
@@ -294,21 +278,14 @@ def ps_project(t: Tableau, alphabet: Sequence[int] | None = None) -> Tableau:
 
 def _parse_ints(text: str, what: str, least: int) -> tuple[int, ...]:
     """Comma- or whitespace-separated integers, each at least ``least``."""
-    tokens = text.replace(",", " ").split()
-    try:
-        values = tuple(int(tok) for tok in tokens)
-    except ValueError as exc:
-        raise InvalidInputError(f"cannot parse {what} {text!r}") from exc
-    if any(x < least for x in values):
-        raise InvalidInputError(f"{what} entries must be at least {least}")
-    return values
+    return tuple(_parse_int(tok, what, least) for tok in text.replace(",", " ").split())
 
 
 def parse_evaluation(text: str) -> Evaluation:
     """Parse a comma- or whitespace-separated evaluation like ``"2,1,2"``."""
-    return _parse_ints(text, "evaluation", 0)
+    return _parse_ints(text, "evaluation entry", 0)
 
 
 def parse_shape(text: str) -> Shape:
     """Parse a comma- or whitespace-separated shape like ``"3,1"``."""
-    return _parse_ints(text, "shape", 1)
+    return _parse_ints(text, "shape part", 1)

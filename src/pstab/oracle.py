@@ -62,7 +62,7 @@ from .tableaux import (
     reverse_columns,
     standardize_tableau,
 )
-from .words import Symbol, Word, check_word, destandardize, evaluation, format_word, standardize
+from .words import Symbol, Word, _check_int, check_word, destandardize, evaluation, format_word, standardize
 
 # ---------------------------------------------------------------------------
 # enumerators
@@ -210,15 +210,12 @@ def fiber_census(alphabet: Sequence[int], shape: Shape) -> dict[Tableau, int]:
     return dict(Counter(map(ps_project, fillings(alphabet, shape))))
 
 
-def fiber_bruteforce(
-    alphabet: Sequence[int], shape: Shape, target: Tableau, max_alphabet: int = 9
-) -> int:
-    """Count the fillings of ``shape`` that project onto ``target`` by full sweep."""
+def fiber_bruteforce(alphabet: Sequence[int], shape: Shape, target: Tableau) -> int:
+    """Count the fillings of ``shape`` that project onto ``target`` by full
+    sweep, over at most 9 symbols (9! fillings)."""
     symbols = tuple(alphabet)
-    if len(symbols) > max_alphabet:
-        raise BudgetExceededError(
-            f"alphabet of {len(symbols)} symbols exceeds the budget of {max_alphabet}"
-        )
+    if len(symbols) > 9:
+        raise BudgetExceededError(f"alphabet of {len(symbols)} symbols exceeds the budget of 9")
     return fiber_census(symbols, tuple(shape)).get(target, 0)
 
 
@@ -263,9 +260,7 @@ def count_set_partitions(n: int, max_n: int = 12) -> int:
     existing blocks or opens a new one), so each partition is visited once.
     That is B_n leaves, so ``n`` above ``max_n`` is refused up front.
     """
-    if n < 0:
-        raise InvalidInputError("n must be nonnegative")
-    if n > max_n:
+    if _check_int(n, "n", 0) > max_n:
         raise BudgetExceededError(f"n={n} exceeds the set-partition budget of {max_n}")
 
     def rec(i: int, blocks: int) -> int:
@@ -320,10 +315,8 @@ def bell_rowsum_terms(n: int) -> list[Count]:
     One term per tuple (p_2, ..., p_n) in {0,1}^(n-1), in lexicographic
     order: the product over a = 2..n-1 of (1 + p_2 + ... + p_a)^(1 - p_{a+1}).
     """
-    if n < 1:
-        raise InvalidInputError("n must be at least 1")
     terms = []
-    for p in product((0, 1), repeat=n - 1):
+    for p in product((0, 1), repeat=_check_int(n, "n") - 1):
         term = 1
         acc = 1
         for a in range(n - 2):
@@ -490,8 +483,7 @@ class Budgets:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise InvalidInputError(f"budget {name} must be a nonnegative integer, got {value!r}")
+            _check_int(value, f"budget {name}", 0)
 
 
 def _positive_evaluations(max_sum: int, max_parts: int) -> list[tuple[int, ...]]:
@@ -986,10 +978,8 @@ def verify_suite(max_n: int = 4, budgets: Budgets | None = None, jobs: int = 1) 
     entries, never exceptions: a case that raises, or whose sweep checks no
     input, fails on its own and every other case still runs.
     """
-    if max_n < 1:
-        raise InvalidInputError("max_n must be at least 1")
-    if jobs < 1:
-        raise InvalidInputError("jobs must be at least 1")
+    _check_int(max_n, "max_n")
+    _check_int(jobs, "jobs")
     budgets = budgets or Budgets()
     start = time.perf_counter()
     table = list(_case_table(max_n, budgets))

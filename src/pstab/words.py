@@ -32,8 +32,29 @@ Word = tuple[Symbol, ...]
 Evaluation = tuple[int, ...]
 
 
-def _positive(x: Any) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+def _check_int(value: Any, name: str, least: int = 1) -> int:
+    """Return ``value`` if it is an int, not a bool, and at least ``least``.
+
+    The package's one rule for counts, sizes and symbols.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        if value >= least:
+            return value
+        raise InvalidInputError(f"{name} must be at least {least}")
+    raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
+def _parse_int(token: str, name: str, least: int = 1) -> int:
+    """``token`` as an integer under :func:`_check_int`'s rule.
+
+    ``int`` also reads ``_`` separators and other scripts' digits; a count
+    written that way is refused, as is any token ``int`` cannot read.
+    """
+    value: Any = token
+    if token.isascii() and "_" not in token:
+        with suppress(ValueError):
+            value = int(token)
+    return _check_int(value, name, least)
 
 
 def check_word(syms: Iterable[Any], kind: type | None = None) -> Word:
@@ -49,8 +70,11 @@ def check_word(syms: Iterable[Any], kind: type | None = None) -> Word:
     want = kind
     for sym in out:
         got = StandardizedSymbol if isinstance(sym, StandardizedSymbol) else int
-        if not (all(map(_positive, sym)) if got is StandardizedSymbol else _positive(sym)):
-            raise InvalidInputError(f"not a symbol: {sym!r}")
+        try:
+            for part in sym if got is StandardizedSymbol else (sym,):
+                _check_int(part, "symbol")
+        except InvalidInputError:
+            raise InvalidInputError(f"not a symbol: {sym!r}") from None
         want = want or got
         if got is not want:
             kinds = "standardized" if want is StandardizedSymbol else "plain"
@@ -88,9 +112,7 @@ def evaluation(word: Iterable[int], alphabet_size: int) -> Evaluation:
     Entry ``a`` (1-based) of the result is the number of times ``a`` occurs in
     ``word``; the entries sum to the length of the word.
     """
-    if alphabet_size < 0:
-        raise InvalidInputError("alphabet_size must be nonnegative")
-    counts = [0] * alphabet_size
+    counts = [0] * _check_int(alphabet_size, "alphabet_size", 0)
     for sym in check_word(word, int):
         if sym > alphabet_size:
             raise InvalidInputError(f"symbol {sym} exceeds alphabet size {alphabet_size}")
@@ -109,23 +131,23 @@ def parse_word(text: str) -> Word:
 
     Plain symbols are positive integers ("4 6 2" or "4,6,2"); standardized
     symbols use ``base_index`` tokens ("4_1 1_1").  An empty string is the
-    empty word.
+    empty word.  Digits are ASCII: ``int`` also reads other scripts' digits.
     """
     tokens = text.replace(",", " ").split()
-    if "_" not in text:
+    if "_" not in text and text.isascii():
         with suppress(ValueError):  # else _parse_symbol names the first bad token
             return check_word(list(map(int, tokens)))
     return check_word(list(map(_parse_symbol, tokens)))
 
 
 def _parse_symbol(tok: str) -> Symbol:
-    try:
-        if "_" in tok:
+    with suppress(ValueError):
+        if tok.isascii():
+            if "_" not in tok:
+                return int(tok)
             base, index = tok.split("_")  # a ValueError unless exactly one "_"
             return StandardizedSymbol(int(base), int(index))
-        return int(tok)
-    except ValueError as exc:
-        raise InvalidInputError(f"cannot parse symbol {tok!r}") from exc
+    raise InvalidInputError(f"cannot parse symbol {tok!r}")
 
 
 def format_word(word: Iterable[Symbol]) -> str:

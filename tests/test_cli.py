@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import tracemalloc
+from itertools import chain
 from math import comb
 from pathlib import Path
 
@@ -349,6 +350,44 @@ def test_inline_input_and_file_are_refused_together(capsys, tmp_path, argv):
 def test_bell_rejects_nonpositive(capsys):
     code, _, err = run(capsys, "bell", "0")
     assert code == 2
+
+
+VERIFY_FLAGS = {"--max-n": "1", "--jobs": "1", "--word-len": "1", "--array-len": "1", "--eval-sum": "2"}
+
+
+def _verify(flag, value):
+    return ["verify", *chain.from_iterable({**VERIFY_FLAGS, flag: value}.items())]
+
+
+def _refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error:") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--mode", "lps", "3_1,2"],
+    ["hook", "--n", "1_0", "--shape", "10"],
+    ["hook", "--n", "22", "--shape", "2_2"],
+    ["bell", "1_0"],
+    # int() reads each of these as the small value the request would otherwise run with
+    *(_verify(flag, "0_" + value) for flag, value in VERIFY_FLAGS.items()),
+])
+def test_counts_and_sizes_refuse_digit_separators(capsys, argv):
+    _refused(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    # Arabic-Indic digits, which int() reads as 1, 2, 3 and 4
+    ["insert", "--mode", "lps", "\u0661 \u0662 \u0661"],
+    ["insert", "--mode", "lps", "\u0662_1 1_1"],
+    ["rsk", "--mode", "rps", "--array", "\u0661 \u0661 / \u0662 \u0661"],
+    ["count", "--mode", "lps", "\u0661,\u0662"],
+    ["hook", "--n", "\u0664", "--shape", "4"],
+    ["bell", "\u0663"],
+    _verify("--max-n", "\u0661"),
+])
+def test_every_number_refuses_non_ascii_digits(capsys, argv):
+    _refused(capsys, argv)
 
 
 def test_missing_file_exits_2(capsys):

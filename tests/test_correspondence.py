@@ -48,6 +48,10 @@ def test_pattern_parse_rejects_garbage():
         DashedPattern.parse("31-3")
     with pytest.raises(InvalidInputError):
         DashedPattern.parse("31--2")
+    # str.isdigit() also holds for other scripts' digits, which int() reads, and for superscripts, which it refuses
+    for text in ("\u0663\u0661-\u0662", "31-\u00b2"):
+        with pytest.raises(InvalidInputError, match="^cannot parse pattern"):
+            DashedPattern.parse(text)
 
 
 def test_occurrences_worked_examples():

@@ -1,3 +1,4 @@
+import time
 from itertools import product
 from math import factorial, prod
 
@@ -73,6 +74,13 @@ def test_count_lps_worked_values():
     assert count_lps((2, 1, 2)) == 15
     assert count_lps((7,)) == 1
     assert count_lps((1, 1, 1, 1)) == 15
+
+
+def test_count_lps_skips_bottom_rows_that_cannot_occur():
+    # j starts at m_a - top, so an entry far above the running top costs two steps, not 10^11
+    start = time.perf_counter()
+    assert count_lps((1, 10**11)) == 2
+    assert time.perf_counter() - start < 1.0
 
 
 def test_count_rps_worked_values():

@@ -11,7 +11,11 @@ from pathlib import Path
 import pytest
 
 import pstab
-from pstab import DashedPattern, InvalidInputError, Tableau, TableauPair, TwoRowedArray
+from pstab import (
+    DashedPattern, InvalidInputError, Tableau, TableauPair, TwoRowedArray, bell_hook, bell_rowsum, compositions,
+    evaluation, fiber_size, hook_count, stirling2,
+)
+from pstab.oracle import bell_rowsum_terms, count_set_partitions, verify_suite
 from pstab.insertion import MODE_SPECS, ModeSpec
 
 # every public name of the package, by the module that defines it
@@ -154,6 +158,32 @@ def test_value_classes_keep_the_frozen_dataclass_semantics(cls, fields, other_fi
 def test_value_classes_validate_with_their_messages(cls, args, message):
     with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         cls(*args)
+
+
+# every public function that takes a count or a size: a call on that value, and the least value it accepts
+SIZE_TAKERS = {
+    "fiber_size": (lambda v: fiber_size(v, (1,)), 1),
+    "hook_count": (lambda v: hook_count(v, (1,)), 1),
+    "count_set_partitions": (count_set_partitions, 0),
+    "evaluation": (lambda v: evaluation((1,), v), 0),
+    "bell_rowsum": (bell_rowsum, 1),
+    "bell_hook": (bell_hook, 1),
+    "stirling2": (lambda v: stirling2(v, 1), 1),
+    "compositions": (lambda v: list(compositions(v)), 1),
+    "bell_rowsum_terms": (bell_rowsum_terms, 1),
+    "verify_suite max_n": (lambda v: verify_suite(max_n=v), 1),
+    "verify_suite jobs": (lambda v: verify_suite(max_n=1, jobs=v), 1),
+}
+NOT_SIZES = [
+    (name, value) for name, (_, least) in SIZE_TAKERS.items() for value in (2.5, True, "4", None, least - 1)
+]
+
+
+@pytest.mark.parametrize("name, value", NOT_SIZES, ids=[f"{name}-{value!r}" for name, value in NOT_SIZES])
+def test_every_size_is_an_int_and_not_a_bool_of_at_least_its_least(name, value):
+    call, _ = SIZE_TAKERS[name]
+    with pytest.raises(InvalidInputError):
+        call(value)
 
 
 def test_unpickling_checks_the_fields_again():

@@ -169,6 +169,11 @@ def test_parse_word_rejects_garbage():
         ("_1", "cannot parse symbol '_1'"),
         ("1 _", "cannot parse symbol '_'"),
         ("1_1 x", "cannot parse symbol 'x'"),
+        # int() also reads Arabic-Indic and fullwidth digits
+        ("\u0661 \u0662", "cannot parse symbol '\u0661'"),
+        ("1 \uff12", "cannot parse symbol '\uff12'"),
+        ("\u0662_1 1_1", "cannot parse symbol '\u0662_1'"),
+        ("1_\u0661", "cannot parse symbol '1_\u0661'"),
     ):
         with pytest.raises(InvalidInputError) as exc:
             parse_word(text)
