@@ -183,6 +183,7 @@ def stirling2(n: int, k: int) -> Count:
     exactly k columns.  Out-of-range ``k`` gives 0.
     """
     _check_int(n, "n")
+    _check_int(k, "k", None)
     return _stirling_row(n, k)[k] if 0 <= k <= n else 0
 
 
@@ -259,21 +260,29 @@ def ps_project(t: Tableau, alphabet: Sequence[int] | None = None) -> Tableau:
     of column i, then sorts column i ascending from the bottom.  The map is
     idempotent and fixes every standard tableau; its fibers all have size
     :func:`fiber_size`.
+
+    One walk over a flat list of the symbols, column after column: at
+    column i, the smallest symbol from the column's bottom box onward swaps
+    into that box, and the column's slice, sorted, is column i of the result.
+    Later steps read only the boxes right of it.
     """
-    content = t.content()
-    if len(content) != len(t):
+    cols = t.columns
+    flat = list(chain.from_iterable(cols))
+    content = set(flat)
+    if len(content) != len(flat):
         raise InvalidInputError("projection requires pairwise-distinct symbols")
     if alphabet is not None and not content <= set(alphabet):
         raise InvalidInputError("tableau content is not contained in the alphabet")
-    cols = [list(col) for col in t.columns]
-    for i, col in enumerate(cols):
-        low = min(chain.from_iterable(cols[i:]))
-        for other in cols[i:]:
-            if low in other:
-                other[other.index(low)], col[0] = col[0], low
-                break
-        col.sort()
-    return Tableau._trusted(cols)
+    projected = []
+    start = 0
+    for col in cols:
+        end = start + len(col)
+        low = min(flat[start:])
+        k = flat.index(low, start)
+        flat[start], flat[k] = low, flat[start]
+        projected.append(tuple(sorted(flat[start:end])))
+        start = end
+    return Tableau._from_tuples(tuple(projected))
 
 
 def _parse_ints(text: str, what: str, least: int) -> tuple[int, ...]:

@@ -175,7 +175,7 @@ def _insert_pairs(items: Iterable[tuple[Symbol, Symbol]], spec: ModeSpec) -> Tab
     # flip p columns (grown top-first: a bump is an append); each tuple takes its list's slot, freeing it
     for i, (p_col, q_col) in enumerate(zip(p_cols, q_cols)):
         p_cols[i], q_cols[i] = tuple(p_col[::-1]), tuple(q_col)
-    return TableauPair(Tableau._trusted(p_cols), Tableau._trusted(q_cols))
+    return TableauPair(Tableau._from_tuples(tuple(p_cols)), Tableau._from_tuples(tuple(q_cols)))
 
 
 def ps_insert(word: Iterable[Symbol], mode: Mode) -> Tableau:

@@ -16,9 +16,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import accumulate, combinations, combinations_with_replacement, pairwise, permutations, product
 from math import factorial
-from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .correspondence import StablePairLevel, _checked_spec, is_stable_pair, occurrences, rsk, rsk_inverse
@@ -128,28 +127,25 @@ def mode_tableaux(alphabet_size: int, boxes: int, mode: Mode) -> list[Tableau]:
     if boxes == 0:
         return [Tableau()]
     for lam in compositions(boxes):
+        cuts = _column_slices(lam)
         for filling in product(range(1, alphabet_size + 1), repeat=boxes):
-            t = _split_filling(filling, lam)
+            t = Tableau._from_tuples(tuple(map(filling.__getitem__, cuts)))
             if getattr(classify(t), flag):
                 found.append(t)
     return found
 
 
-def _split_filling(filling: Sequence, lam: Shape) -> Tableau:
-    cols = []
-    pos = 0
-    for part in lam:
-        cols.append(filling[pos : pos + part])
-        pos += part
-    return Tableau._trusted(cols)
+def _column_slices(lam: Shape) -> list[slice]:
+    """The slice of a flat filling that each column of ``lam`` takes, left to right."""
+    return [slice(start, end) for start, end in pairwise(accumulate(lam, initial=0))]
 
 
 def fillings(alphabet: Sequence[int], shape: Shape) -> Iterator[Tableau]:
     """All distinct-symbol fillings of ``shape`` with content ``alphabet``."""
     alphabet = check_word(alphabet)
-    _check_shape(len(alphabet), shape)
+    cuts = _column_slices(_check_shape(len(alphabet), shape))
     for perm in permutations(alphabet):
-        yield _split_filling(perm, shape)
+        yield Tableau._from_tuples(tuple(map(perm.__getitem__, cuts)))
 
 
 def _pstab_direct(symbols: tuple[int, ...], lam: Shape) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -194,7 +190,7 @@ def enumerate_pstab(
     out: list[Tableau] = []
     for lam in shapes:
         if method == "direct":
-            batch = [Tableau._trusted(cols) for cols in _pstab_direct(symbols, lam)]
+            batch = [Tableau._from_tuples(cols) for cols in _pstab_direct(symbols, lam)]
         elif method == "filter":
             batch = [t for t in fillings(symbols, lam) if classify(t).is_standard_ps]
         elif method == "project":
@@ -243,7 +239,7 @@ def insertion_image(ev: Sequence[int], mode: Mode, max_total: int = 10) -> set[T
                     col = (a + 1,) + cols[k] if k < len(cols) else (a + 1,)
                     grown.add((cols[:k] + (col,) + cols[k + 1 :], left[:a] + (m - 1,) + left[a + 1 :]))
         layer = grown
-    return {Tableau._trusted(cols) for cols, _ in layer}
+    return {Tableau._from_tuples(cols) for cols, _ in layer}
 
 
 def count_tableaux_bruteforce(ev: Sequence[int], mode: Mode, max_total: int = 10) -> int:
@@ -985,8 +981,11 @@ def verify_suite(max_n: int = 4, budgets: Budgets | None = None, jobs: int = 1) 
     table = list(_case_table(max_n, budgets))
     workers = min(jobs, os.cpu_count() or 1, len(table))
     if workers > 1:
+        from multiprocessing import Pool  # a serial run does not load the pool's modules
+
+        # one case per task: a few cases cost most of the run, so chunks of several would leave a worker idle
         with Pool(workers) as pool:
-            cases = pool.map(_run_entry, table)
+            cases = pool.map(_run_entry, table, chunksize=1)
     else:
         cases = [_run_entry(entry) for entry in table]
     elapsed = time.perf_counter() - start

@@ -71,10 +71,15 @@ class Tableau(_Value):
 
     ``Tableau(columns)`` checks that columns are nonempty and that all symbols
     pass :func:`pstab.words.check_word` as one word.  Tableaux built inside the
-    package from checked data come from :meth:`_trusted` and skip that check.
+    package from checked data come from :meth:`_trusted` or, when the columns
+    are already a tuple of tuples, :meth:`_from_tuples`, and skip that check.
+
+    The value is the columns alone: a second slot holds what :func:`classify`
+    found, once it has run, and equality, hashing, ``repr``, pickling and
+    copying ignore it.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ("columns", "_class")
 
     columns: tuple[tuple[Symbol, ...], ...]
 
@@ -88,9 +93,17 @@ class Tableau(_Value):
     @classmethod
     def _trusted(cls, columns: Iterable[Iterable[Symbol]]) -> "Tableau":
         """Build from nonempty columns of checked symbols, without re-checking."""
+        return cls._from_tuples(tuple(map(tuple, columns)))
+
+    @classmethod
+    def _from_tuples(cls, columns: tuple[tuple[Symbol, ...], ...]) -> "Tableau":
+        """:meth:`_trusted` of a tuple of tuple columns, kept as it is: verify builds ~10^5 tableaux."""
         t = object.__new__(cls)
-        object.__setattr__(t, "columns", tuple(map(tuple, columns)))
+        object.__setattr__(t, "columns", columns)
         return t
+
+    def _fields(self) -> tuple:
+        return (self.columns,)
 
     # direct, not through _fields: verify compares and hashes ~10^5 tableaux
     def __eq__(self, other: Any) -> bool:
@@ -100,7 +113,7 @@ class Tableau(_Value):
         return hash(self.columns)
 
     def __len__(self) -> int:
-        return sum(len(col) for col in self.columns)
+        return sum(map(len, self.columns))
 
     def __bool__(self) -> bool:
         return bool(self.columns)
@@ -110,7 +123,7 @@ class Tableau(_Value):
 
     @property
     def shape(self) -> Shape:
-        return tuple(len(col) for col in self.columns)
+        return tuple(map(len, self.columns))
 
     @property
     def bottom_row(self) -> Word:
@@ -145,8 +158,12 @@ def classify(t: Tableau) -> TableauClass:
     One pass over the columns and one over the bottom row.  A strict descent
     ends a pass, since it breaks both the weak and the strict order; a column
     descent skips the bottom row, since the tableau is then neither lPS nor
-    rPS.  The empty tableau belongs to every class.
+    rPS.  The empty tableau belongs to every class.  A tableau cannot change,
+    so the result is cached on it and later calls return it at once.
     """
+    kind = getattr(t, "_class", None)
+    if kind is not None:
+        return kind
     cols = t.columns
     strict_cols = weak_cols = True
     for col in cols:
@@ -180,7 +197,9 @@ def classify(t: Tableau) -> TableauClass:
     is_rps = weak_cols and strict_bottom
     is_standard = is_pre and is_lps and is_rps
     is_recording = is_standard and symbols == set(range(1, size + 1))
-    return TableauClass(is_pre, is_lps, is_rps, is_standard, is_recording)
+    kind = TableauClass(is_pre, is_lps, is_rps, is_standard, is_recording)
+    object.__setattr__(t, "_class", kind)
+    return kind
 
 
 def column_reading(t: Tableau) -> Word:
@@ -190,7 +209,7 @@ def column_reading(t: Tableau) -> Word:
 
 def reverse_columns(t: Tableau) -> Tableau:
     """Flip every column upside down; a shape-preserving involution."""
-    return Tableau._trusted(col[::-1] for col in t.columns)
+    return Tableau._from_tuples(tuple(col[::-1] for col in t.columns))
 
 
 def standardize_tableau(t: Tableau, direction: Direction) -> Tableau:

@@ -32,13 +32,13 @@ Word = tuple[Symbol, ...]
 Evaluation = tuple[int, ...]
 
 
-def _check_int(value: Any, name: str, least: int = 1) -> int:
-    """Return ``value`` if it is an int, not a bool, and at least ``least``.
+def _check_int(value: Any, name: str, least: int | None = 1) -> int:
+    """Return ``value`` if it is an int, not a bool, and at least ``least`` (None: any int).
 
     The package's one rule for counts, sizes and symbols.
     """
     if isinstance(value, int) and not isinstance(value, bool):
-        if value >= least:
+        if least is None or value >= least:
             return value
         raise InvalidInputError(f"{name} must be at least {least}")
     raise InvalidInputError(f"{name} must be an integer, got {value!r}")

@@ -1,5 +1,6 @@
+import re
 import time
-from itertools import product
+from itertools import chain, product
 from math import factorial, prod
 
 from hypothesis import given, strategies as st
@@ -199,6 +200,17 @@ def test_stirling_examples():
         stirling2(0, 0)
 
 
+@pytest.mark.parametrize("k", [2.5, "2", None, True])
+def test_stirling_refuses_a_k_that_is_not_an_int(k):
+    with pytest.raises(InvalidInputError, match=f"^k must be an integer, got {re.escape(repr(k))}$"):
+        stirling2(5, k)
+
+
+@pytest.mark.parametrize("k", [-1, -(10**20), 6, 10**20])
+def test_stirling_answers_zero_for_an_int_k_out_of_range(k):
+    assert stirling2(5, k) == 0
+
+
 def test_stirling_closed_forms_far_beyond_the_recursion_limit():
     n = 2000
     assert stirling2(n, 2) == 2 ** (n - 1) - 1
@@ -380,11 +392,34 @@ def _projected_by_box_scan(t):
     return Tableau(cols)
 
 
-def test_ps_project_matches_the_box_scan_on_every_small_filling():
+def _projected_by_column_lists(t):
+    """Step i takes the least symbol of columns i..m, swaps it with column i's bottom box from the first
+    column holding it, and sorts column i: the walk over per-column lists that preceded the flat one."""
+    cols = [list(col) for col in t.columns]
+    for i, col in enumerate(cols):
+        low = min(chain.from_iterable(cols[i:]))
+        for other in cols[i:]:
+            if low in other:
+                other[other.index(low)], col[0] = col[0], low
+                break
+        col.sort()
+    return Tableau(cols)
+
+
+def _small_fillings():
     for n in range(1, 7):
         for lam in compositions(n):
-            for t in fillings(range(1, n + 1), lam):
-                assert ps_project(t) == _projected_by_box_scan(t), t
+            yield from fillings(range(1, n + 1), lam)
+
+
+def test_ps_project_matches_the_box_scan_on_every_small_filling():
+    for t in _small_fillings():
+        assert ps_project(t) == _projected_by_box_scan(t), t
+
+
+def test_ps_project_matches_the_column_list_walk_on_every_small_filling():
+    for t in _small_fillings():
+        assert ps_project(t) == _projected_by_column_lists(t), t
 
 
 @given(st.permutations(list(range(1, 7))), st.sampled_from([(6,), (2, 4), (3, 2, 1), (1, 5)]))

@@ -254,7 +254,7 @@ def test_verify_suite_rejects_bad_jobs():
 
 @pytest.mark.parametrize("jobs, cpus, expected", [(10**6, 8, 8), (10**6, 2, 2), (2, 8, 2), (1, 8, None)])
 def test_verify_suite_clamps_the_pool(monkeypatch, jobs, cpus, expected):
-    # the pool maps over cases, and these budgets give far more than eight
+    # the pool maps over cases one at a time, and these budgets give far more than eight
     sizes = []
 
     class FakePool:
@@ -267,10 +267,12 @@ def test_verify_suite_clamps_the_pool(monkeypatch, jobs, cpus, expected):
         def __exit__(self, *exc):
             return False
 
-        def map(self, func, items):
+        def map(self, func, items, chunksize):
+            assert chunksize == 1
             return [func(item) for item in items]
 
-    monkeypatch.setattr("pstab.oracle.Pool", FakePool)
+    # verify_suite imports the pool when it runs
+    monkeypatch.setattr("multiprocessing.Pool", FakePool)
     monkeypatch.setattr("pstab.oracle.os.cpu_count", lambda: cpus)
     report = verify_suite(max_n=2, budgets=Budgets(word_len=1, array_len=1, eval_sum=2), jobs=jobs)
     assert report.passed

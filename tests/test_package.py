@@ -111,6 +111,16 @@ def test_the_package_loads_a_module_when_one_of_its_names_is_first_used(code, lo
     assert not {f"pstab.{name}" for name in not_loaded} & modules
 
 
+@pytest.mark.parametrize("argv", [
+    ("bell", "5", "--method", "oracle"),
+    ("verify", "--max-n", "1", "--word-len", "1", "--array-len", "1", "--eval-sum", "1", "--jobs", "1"),
+])
+def test_a_serial_oracle_request_does_not_load_the_pool(argv, bare_modules):
+    modules = _imported_modules("-m", "pstab", *argv)
+    assert "pstab.oracle" in modules
+    assert "multiprocessing" not in modules - bare_modules
+
+
 def test_unrsk_loads_json_when_it_runs():
     assert "json" in _imported_modules("-m", "pstab", "unrsk", "--mode", "lps", PAIR)
 

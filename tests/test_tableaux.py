@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 
 from hypothesis import given, strategies as st
 import pytest
@@ -20,8 +22,13 @@ from pstab import (
     tableau_to_json,
 )
 from pstab.counting import compositions
-from pstab.oracle import _split_filling, mode_tableaux
+from pstab.oracle import mode_tableaux
 from pstab.tableaux import TableauClass
+
+
+def _split_filling(word, shape):
+    """The tableau whose columns, left to right, are consecutive pieces of ``word`` of the sizes in ``shape``."""
+    return Tableau._trusted(word[a:b] for a, b in itertools.pairwise(itertools.accumulate(shape, initial=0)))
 
 
 def S(base, index):
@@ -95,6 +102,37 @@ def test_classify_empty_tableau_is_everything():
 def test_classify_standard_with_gapped_content_is_not_recording():
     kind = classify(Tableau([[2, 4], [5]]))
     assert kind.is_standard_ps and not kind.is_recording
+
+
+# one tableau of each kind: lPS only, rPS only, standard, recording, none, empty
+KINDS = [[[1, 2, 4], [1, 2]], [[1, 1, 4], [2, 2]], [[2, 4], [5]], [[1, 3], [2]], [[2, 1], [1]], []]
+
+
+def _clones(t):
+    return pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)
+
+
+@pytest.mark.parametrize("columns", KINDS)
+def test_classify_caches_its_result_without_changing_the_value(columns):
+    t, fresh = Tableau(columns), Tableau(columns)
+    kind = classify(t)
+    assert classify(t) is kind
+    assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+    assert pickle.dumps(t) == pickle.dumps(fresh)
+    assert t.__reduce__() == fresh.__reduce__() == (Tableau, (fresh.columns,))
+    for clone in _clones(t):
+        assert type(clone) is Tableau and clone == t and hash(clone) == hash(t) and repr(clone) == repr(t)
+    with pytest.raises(AttributeError):
+        t._class = kind._replace(is_pre=not kind.is_pre)
+    assert classify(t) is kind
+
+
+@pytest.mark.parametrize("columns", KINDS)
+def test_pickled_and_copied_tableaux_classify_like_fresh_ones(columns):
+    t = Tableau(columns)
+    classify(t)
+    for clone in _clones(t):
+        assert classify(clone) == classify(Tableau(columns))
 
 
 @given(tableaux)
