@@ -176,7 +176,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .oracle import Budgets, verify_suite
 
     flags = {"word_len": args.word_len, "array_len": args.array_len, "eval_sum": args.eval_sum}
-    sizes = {name: _parse_int(text, f"budget {name}", 0) for name, text in flags.items() if text is not None}
+    sizes = {name: _parse_int(text, f"budget {name}") for name, text in flags.items() if text is not None}
     report = verify_suite(_parse_int(args.max_n, "max_n"), Budgets(**sizes), _parse_int(args.jobs, "jobs"))
     print(report.to_json() if args.json else report.to_text())
     return 0 if report.passed else 1

@@ -71,8 +71,8 @@ class Tableau(_Value):
 
     ``Tableau(columns)`` checks that columns are nonempty and that all symbols
     pass :func:`pstab.words.check_word` as one word.  Tableaux built inside the
-    package from checked data come from :meth:`_trusted` or, when the columns
-    are already a tuple of tuples, :meth:`_from_tuples`, and skip that check.
+    package from checked data come from :meth:`_from_tuples`, which takes a
+    tuple of nonempty tuple columns and skips that check.
 
     The value is the columns alone: a second slot holds what :func:`classify`
     found, once it has run, and equality, hashing, ``repr``, pickling and
@@ -91,13 +91,8 @@ class Tableau(_Value):
         object.__setattr__(self, "columns", cols)
 
     @classmethod
-    def _trusted(cls, columns: Iterable[Iterable[Symbol]]) -> "Tableau":
-        """Build from nonempty columns of checked symbols, without re-checking."""
-        return cls._from_tuples(tuple(map(tuple, columns)))
-
-    @classmethod
     def _from_tuples(cls, columns: tuple[tuple[Symbol, ...], ...]) -> "Tableau":
-        """:meth:`_trusted` of a tuple of tuple columns, kept as it is: verify builds ~10^5 tableaux."""
+        """Build from the columns as they are, without re-checking: verify builds ~10^5 tableaux."""
         t = object.__new__(cls)
         object.__setattr__(t, "columns", columns)
         return t
@@ -230,14 +225,14 @@ def standardize_tableau(t: Tableau, direction: Direction) -> Tableau:
         raise InvalidInputError("right standardization requires an rPS tableau")
     # the right reading is the column reading reversed; standardize refuses other directions
     indexed = iter(standardize(column_reading(t), direction))
-    return Tableau._trusted(tuple(itertools.islice(indexed, len(col)))[::-1] for col in t.columns)
+    return Tableau._from_tuples(tuple(tuple(itertools.islice(indexed, len(col)))[::-1] for col in t.columns))
 
 
 def destandardize_tableau(t: Tableau) -> Tableau:
     """Erase all occurrence indices, keeping shape and base symbols."""
     if t.columns and not isinstance(t.columns[0][0], StandardizedSymbol):
         raise InvalidInputError("destandardization needs standardized entries")
-    return Tableau._trusted(tuple(sym.base for sym in col) for col in t.columns)
+    return Tableau._from_tuples(tuple(tuple(sym.base for sym in col) for col in t.columns))
 
 
 def _rows(t: Tableau, blank: str) -> list[list[str]]:

@@ -48,12 +48,20 @@ def _parse_int(token: str, name: str, least: int = 1) -> int:
     """``token`` as an integer under :func:`_check_int`'s rule.
 
     ``int`` also reads ``_`` separators and other scripts' digits; a count
-    written that way is refused, as is any token ``int`` cannot read.
+    written that way is refused, as is any token ``int`` cannot read.  A
+    well-formed token that ``int`` refuses is past its digit limit (4300 by
+    default), and the message says so, quoting only the token's start.
     """
     value: Any = token
     if token.isascii() and "_" not in token:
-        with suppress(ValueError):
+        try:
             value = int(token)
+        except ValueError:  # a well-formed token fails only past the digit limit
+            digits = token.strip()
+            if digits[:1] in ("+", "-"):
+                digits = digits[1:]
+            if digits.isdigit():
+                raise InvalidInputError(f"{name} has more digits than int() reads; it starts {token[:20]!r}") from None
     return _check_int(value, name, least)
 
 
@@ -147,6 +155,9 @@ def _parse_symbol(tok: str) -> Symbol:
                 return int(tok)
             base, index = tok.split("_")  # a ValueError unless exactly one "_"
             return StandardizedSymbol(int(base), int(index))
+    parts = tok.split("_")
+    if tok.isascii() and len(parts) <= 2 and all(map(str.isdigit, parts)):  # past int()'s digit limit
+        raise InvalidInputError(f"symbol has more digits than int() reads; it starts {tok[:20]!r}")
     raise InvalidInputError(f"cannot parse symbol {tok!r}")
 
 

@@ -23,7 +23,8 @@ from pstab import (
 )
 from pstab.oracle import enumerate_pstab, is_stable_pair_scan, mode_tableaux
 from pstab.counting import compositions
-from pstab.insertion import mode_spec, read_by_recording, reverse_insertion
+from pstab.insertion import array_insert, mode_spec, read_by_recording, reverse_insertion
+from pstab.tableaux import standardize_tableau
 
 GOLDEN_PAIR = TableauPair(Tableau([[1, 2, 4], [2, 3, 6], [4]]), Tableau([[1, 3, 6], [2, 4, 5], [7]]))
 GOLDEN_ARRAY = TwoRowedArray(top=(1, 1, 2, 3, 3, 3, 4), bottom=(3, 4, 2, 1, 1, 2, 3))
@@ -214,6 +215,23 @@ def test_rsk_dispatches_on_input_kind():
     assert rsk((4, 6, 2, 3, 2, 1, 4), "lps") == GOLDEN_PAIR
     assert rsk(GOLDEN_ARRAY, "lps") == ARRAY_PAIR
     assert rsk((), "lps") == TableauPair(Tableau(), Tableau())
+
+
+@pytest.mark.parametrize("mode", ["lps", "rps"])
+def test_the_empty_input_at_every_step(mode):
+    # verify's sweeps start at length 1, so the empty word and array are checked here
+    empty = TableauPair(Tableau(), Tableau())
+    direction = mode_spec(mode).direction
+    assert extended_insert((), mode) == empty
+    assert array_insert(TwoRowedArray((), ()), mode) == empty
+    assert read_by_recording(empty) == ()
+    assert reverse_insertion(empty, mode) == TwoRowedArray((), ())
+    assert rsk_inverse(empty, mode, "word") == ()
+    assert rsk_inverse(empty, mode, "array") == TwoRowedArray((), ())
+    for level in ("word", "array", "standard"):
+        assert is_stable_pair(empty, mode, level) and is_stable_pair_scan(empty, mode, level)
+    assert standardize((), direction) == ()
+    assert standardize_tableau(Tableau(), direction) == Tableau()
 
 
 def test_rsk_inverse_word_level():

@@ -363,7 +363,8 @@ def test_reverse_insertion_validates_input():
 
 
 def test_reverse_insertion_empty_pair():
-    assert reverse_insertion(TableauPair(Tableau(), Tableau()), "lps") == TwoRowedArray((), ())
+    for mode in ("lps", "rps"):
+        assert reverse_insertion(TableauPair(Tableau(), Tableau()), mode) == TwoRowedArray((), ())
 
 
 @given(valid_arrays())

@@ -32,7 +32,8 @@ from pstab import (
 )
 from pstab.counting import compositions
 from pstab.oracle import (
-    arrays_over, fillings, mode_tableaux, words_over, _case_table, _positive_evaluations, _ps_insert_linear,
+    arrays_over, fillings, mode_tableaux, words_over, _case_table, _Entry, _positive_evaluations, _ps_insert_linear,
+    _run_entry,
 )
 
 
@@ -227,18 +228,18 @@ def test_verify_suite_parallel_jobs_agree_with_serial():
     assert [c.to_dict() for c in parallel.cases] == [c.to_dict() for c in serial.cases]
 
 
-@pytest.mark.parametrize("eval_sum", [0, 3])
+@pytest.mark.parametrize("eval_sum", [1, 3])
 def test_case_table_pickles_for_the_pool(eval_sum):
-    # a pool is sent the entries themselves; eval_sum=0 adds the empty-sweep entry
+    # a pool is sent the entries themselves
     table = list(_case_table(2, Budgets(word_len=1, array_len=1, eval_sum=eval_sum)))
     assert len(pickle.loads(pickle.dumps(table))) == len(table)
 
 
 @pytest.mark.parametrize("field", ["word_len", "array_len", "eval_sum"])
 def test_budgets_reject_negative_sizes(field):
-    # and sizes that are not integers: a float sweep would fail its cases with a TypeError,
-    # and True would run as 1
-    for value in (-1, 2.5, "4", None, True):
+    # zero, which leaves sweeps with nothing to check, and sizes that are not integers:
+    # a float sweep would fail its cases with a TypeError, and True would run as 1
+    for value in (-1, 0, 2.5, "4", None, True):
         with pytest.raises(InvalidInputError):
             Budgets(**{field: value})
 
@@ -437,13 +438,13 @@ def _rps_off_by_one_on_first_entry_2(real):
 
 def _swapping_one_one_columns(real):
     """``ps_project`` that swaps the two columns of a (1, 1) filling instead of projecting it."""
-    return lambda t, alphabet=None: Tableau._trusted(t.columns[::-1]) if t.shape == (1, 1) else real(t, alphabet)
+    return lambda t, alphabet=None: Tableau(t.columns[::-1]) if t.shape == (1, 1) else real(t, alphabet)
 
 
 def _with_one_extra_column(real):
     """``insertion_image`` plus the one-column tableau of the evaluation's sorted word."""
     def defect(ev, mode, max_total=10):
-        return real(ev, mode, max_total) | {Tableau._trusted([next(words_with_evaluation(ev))])}
+        return real(ev, mode, max_total) | {Tableau([next(words_with_evaluation(ev))])}
 
     return defect
 
@@ -460,14 +461,14 @@ def _blind_past_nine(real):
 
 def _stacking_one_one(real):
     """``ps_project`` that stacks a (1, 1) filling into one sorted column."""
-    return lambda t, alphabet=None: Tableau._trusted([sorted(t.content())]) if t.shape == (1, 1) else real(t, alphabet)
+    return lambda t, alphabet=None: Tableau([sorted(t.content())]) if t.shape == (1, 1) else real(t, alphabet)
 
 
 def _with_one_rps_row(real):
     """``insertion_image`` plus, in rps, the one-row tableau of the evaluation's sorted word."""
     def defect(ev, mode, max_total=10):
         row = [[sym] for sym in next(words_with_evaluation(ev))]
-        return real(ev, mode, max_total) | ({Tableau._trusted(row)} if mode == "rps" else set())
+        return real(ev, mode, max_total) | ({Tableau(row)} if mode == "rps" else set())
 
     return defect
 
@@ -580,7 +581,7 @@ DEFECTS = {
     }),
     "is_stable_pair_never": ("is_stable_pair", lambda real: lambda pair, mode, level: False, {
         *((f"{mode} {level}-level roundtrip", f"{count} violations, first: {label}: image not a stable pair")
-          for mode in ("lps", "rps") for level, count, label in (("word", 40, ""), ("array", 55, "( / )"))),
+          for mode in ("lps", "rps") for level, count, label in (("word", 39, "1"), ("array", 54, "(1 / 1)"))),
         *((f"{mode} word-level stable pairs are exactly the insertion image",
            f"6 violations, first: 1 boxes: {STABLE_SET_SCAN} 3 pairs") for mode in ("lps", "rps")),
         *((f"{mode} array-level stable pairs are exactly the insertion image",
@@ -632,7 +633,7 @@ def test_every_case_family_fails_under_some_defect():
 
 
 def _flipped(t):
-    return Tableau._trusted(col[::-1] for col in t.columns)
+    return Tableau(col[::-1] for col in t.columns)
 
 
 def _unflipped_insert(real):
@@ -646,22 +647,22 @@ INSERTION_DEFECTS = {
     "unflipped_p_columns": ("extended_insert", _unflipped_insert, [
         "output not {mode}", "plain and extended insertion differ", "binary search differs from linear scan",
     ]),
-    "ps_insert_reverses_columns": ("ps_insert", lambda real: lambda w, mode: Tableau._trusted(
+    "ps_insert_reverses_columns": ("ps_insert", lambda real: lambda w, mode: Tableau(
         real(w, mode).columns[::-1]
     ), ["plain and extended insertion differ"]),
     "linear_reference_flips_columns": ("_ps_insert_linear", lambda real: lambda w, mode: _flipped(
         real(w, mode)
     ), ["binary search differs from linear scan"]),
-    # an off-by-one slice that drops each column's bottom box
-    "reversal_drops_boxes": ("reverse_columns", lambda real: lambda t: Tableau._trusted(
-        col[:0:-1] for col in t.columns
+    # an off-by-one slice that drops each column's bottom box, leaving a one-box column empty
+    "reversal_drops_boxes": ("reverse_columns", lambda real: lambda t: Tableau._from_tuples(
+        tuple(col[:0:-1] for col in t.columns)
     ), ["column reversal not an involution"]),
     "q_not_recording": ("extended_insert", lambda real: lambda w, mode: TableauPair(
-        real(w, mode).p, Tableau._trusted(tuple(x + 1 for x in col) for col in real(w, mode).q.columns)
+        real(w, mode).p, Tableau(tuple(x + 1 for x in col) for col in real(w, mode).q.columns)
     ), ["recording tableau invalid"]),
     # 2 1 2 inserts to two columns, the last of one box
     "p_drops_a_box": ("extended_insert", lambda real: lambda w, mode: TableauPair(
-        Tableau._trusted(real(w, mode).p.columns[:-1]), real(w, mode).q
+        Tableau(real(w, mode).p.columns[:-1]), real(w, mode).q
     ), ["evaluation changed", "plain and extended insertion differ", "binary search differs from linear scan"]),
 }
 
@@ -724,15 +725,24 @@ def test_verify_suite_turns_crashes_into_failing_cases(monkeypatch):
 
 
 def test_verify_suite_fails_empty_sweeps():
-    # with no arrays to check once the empty one is skipped, or no box count
-    report = verify_suite(max_n=1, budgets=Budgets(array_len=0))
-    assert not report.passed
-    assert [c.name for c in report.failures()] == [
-        f"{mode} {name}"
-        for name in ("array-level stable pairs are exactly the insertion image", "array standardization laws")
-        for mode in ("lps", "rps")
-    ]
-    assert all(c.oracle == "empty sweep" for c in report.failures())
+    # a zero budget is refused, and the runner still fails a sweep that checks no input
+    with pytest.raises(InvalidInputError, match="^budget array_len must be at least 1$"):
+        Budgets(array_len=0)
+    result = _run_entry(_Entry("s", "nothing to check", "no inputs", lambda item: [str(item)], lambda: ()))
+    assert (result.formula, result.oracle, result.passed) == ("0 violations", "empty sweep", False)
+
+
+def test_every_sweep_checks_only_nonempty_inputs():
+    # budgets of 1 still give every sweep case an input, and no input is, or holds, an empty word or array
+    empty = ((), TwoRowedArray((), ()))
+    sweeps = [entry for entry in _case_table(2, Budgets(1, 1, 1)) if entry.inputs is not None]
+    assert len(sweeps) == 52
+    for entry in sweeps:
+        inputs = list(entry.inputs())
+        assert inputs, entry.name
+        for item in inputs:
+            parts = item if isinstance(item, tuple) else ()
+            assert item not in empty and not any(part in empty for part in parts), entry.name
 
 
 def test_report_aggregate_fails_when_any_case_fails():

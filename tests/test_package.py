@@ -197,7 +197,7 @@ def test_every_size_is_an_int_and_not_a_bool_of_at_least_its_least(name, value):
 
 
 def test_unpickling_checks_the_fields_again():
-    forged = pickle.dumps(Tableau._trusted([[0]]))
+    forged = pickle.dumps(Tableau._from_tuples(((0,),)))
     with pytest.raises(InvalidInputError, match="^not a symbol: 0$"):
         pickle.loads(forged)
 

@@ -28,7 +28,7 @@ from pstab.tableaux import TableauClass
 
 def _split_filling(word, shape):
     """The tableau whose columns, left to right, are consecutive pieces of ``word`` of the sizes in ``shape``."""
-    return Tableau._trusted(word[a:b] for a, b in itertools.pairwise(itertools.accumulate(shape, initial=0)))
+    return Tableau(word[a:b] for a, b in itertools.pairwise(itertools.accumulate(shape, initial=0)))
 
 
 def S(base, index):
