@@ -117,6 +117,8 @@ def _cmd_unrsk(args: argparse.Namespace) -> int:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"pair must be JSON: {exc}") from exc
+    except ValueError:  # int() refuses a JSON integer past its digit limit
+        raise InvalidInputError("pair holds an integer with more digits than int() reads") from None
     except RecursionError as exc:
         raise InvalidInputError("pair JSON is nested too deeply to parse") from exc
     pair = _pair_from_json(obj)

@@ -15,6 +15,7 @@ and otherwise returns that same extraction, the unique preimage.
 from __future__ import annotations
 
 from itertools import accumulate, chain, combinations
+from operator import lt
 from typing import Iterable, Literal, Union
 
 from .errors import InvalidInputError, NotInStablePairsError
@@ -77,10 +78,6 @@ class DashedPattern(_Value):
         return cls(tuple(blocks))
 
 
-def _ranks(values: list) -> tuple[int, ...]:
-    return tuple(1 + sum(other < v for other in values) for v in values)
-
-
 def occurrences(word: Iterable[Symbol], pattern: DashedPattern | str) -> list[tuple[int, ...]]:
     """All occurrences of a dashed pattern in a word of distinct symbols.
 
@@ -94,13 +91,16 @@ def occurrences(word: Iterable[Symbol], pattern: DashedPattern | str) -> list[tu
     if len(set(syms)) != len(syms):
         raise InvalidInputError("pattern search requires pairwise-distinct symbols")
     target = pattern.flat()
+    # the pattern's positions in value order: a placement matches when it reads increasing in that order
+    order = sorted(range(len(target)), key=target.__getitem__)
     sizes = [len(block) for block in pattern.blocks]
     # block b starts at its pick plus the extra boxes of the blocks before it
     shifts = list(accumulate((size - 1 for size in sizes), initial=0))
     out: list[tuple[int, ...]] = []
     for picks in combinations(range(len(syms) - len(target) + len(sizes)), len(sizes)):
         acc = [i for pick, shift, size in zip(picks, shifts, sizes) for i in range(pick + shift, pick + shift + size)]
-        if _ranks([syms[i] for i in acc]) == target:
+        read = [syms[acc[k]] for k in order]
+        if all(map(lt, read, read[1:])):
             out.append(tuple(i + 1 for i in acc))
     return out
 

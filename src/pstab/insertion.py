@@ -44,8 +44,7 @@ class TwoRowedArray(_Value):
     entries weakly decrease within such runs instead.
 
     An immutable value: equality, hashing, ``repr``, pickling and copying go
-    by the two rows.  Arrays built inside the package from checked rows come
-    from :meth:`_trusted` and skip the checks.
+    by the two rows.
     """
 
     __slots__ = ("top", "bottom")
@@ -61,14 +60,6 @@ class TwoRowedArray(_Value):
             )
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "bottom", bottom)
-
-    @classmethod
-    def _trusted(cls, top: Word, bottom: Word) -> "TwoRowedArray":
-        """Build from two checked words of equal length, without re-checking."""
-        arr = object.__new__(cls)
-        object.__setattr__(arr, "top", top)
-        object.__setattr__(arr, "bottom", bottom)
-        return arr
 
     def __len__(self) -> int:
         return len(self.top)
@@ -244,8 +235,7 @@ def _unwind(pair: TableauPair, spec: ModeSpec) -> TwoRowedArray:
         columns.reverse()
     boxes = [box for q_col, p_col in columns for box in zip(q_col, reversed(p_col))]
     boxes.sort(key=itemgetter(0))
-    # the rows are the checked tableaux' symbols, two per box
-    return TwoRowedArray._trusted(tuple(map(itemgetter(0), boxes)), tuple(map(itemgetter(1), boxes)))
+    return TwoRowedArray(map(itemgetter(0), boxes), map(itemgetter(1), boxes))
 
 
 def read_by_recording(pair: TableauPair) -> Word:

@@ -17,7 +17,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, combinations, combinations_with_replacement, pairwise, permutations, product
+from itertools import accumulate, chain, combinations, combinations_with_replacement, pairwise, permutations, product
 from math import factorial
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -310,19 +310,12 @@ def _count(mode: Mode, ev: Iterable[int]) -> Count:
 def bell_rowsum_terms(n: int) -> list[Count]:
     """Terms of the 0-1 bottom-row expansion of the n-th Bell number.
 
-    One term per tuple (p_2, ..., p_n) in {0,1}^(n-1), in lexicographic
-    order: the product over a = 2..n-1 of (1 + p_2 + ... + p_a)^(1 - p_{a+1}).
+    The rPS bracket at the evaluation 1^n, lead 0, once per bottom row
+    (p_2, ..., p_n) in {0,1}^(n-1), in lexicographic order: the product over
+    a = 2..n-1 of (1 + p_2 + ... + p_a)^(1 - p_{a+1}).
     """
-    terms = []
-    for p in product((0, 1), repeat=_check_int(n, "n") - 1):
-        term = 1
-        acc = 1
-        for a in range(n - 2):
-            acc += p[a]
-            if p[a + 1] == 0:
-                term *= acc
-        terms.append(term)
-    return terms
+    tail = (1,) * (_check_int(n, "n") - 1)
+    return [bracket_rps(tail, 0, row) for row in product((0, 1), repeat=n - 1)]
 
 
 def bell_hook_sum(n: int) -> Count:
@@ -385,17 +378,17 @@ def is_stable_pair_scan(pair: TableauPair, mode: Mode, level: StablePairLevel) -
     """Stable-pair membership by the paper's definition, a pattern scan.
 
     Takes the same input as :func:`pstab.correspondence.is_stable_pair` and
-    checks it the same way.  Standard pairs are scanned as they are; at the
-    word level the first tableau is standardized in the mode's direction, and
-    at the array level both are.
+    checks it the same way.  It scans the first tableau's column reading,
+    standardized in the mode's direction at the word and array levels, against
+    the second tableau read column by column, each bottom to top, which is
+    standardized first at the array level.
     """
     direction = _checked_spec(pair, mode, level).direction
     p, q = pair
-    if level != "standard":
-        p = standardize_tableau(p, direction)
+    left = column_reading(p) if level == "standard" else standardize(column_reading(p), direction)
     if level == "array":
         q = standardize_tableau(q, direction)
-    return _avoids_forbidden_pairs(column_reading(p), column_reading(reverse_columns(q)))
+    return _avoids_forbidden_pairs(left, tuple(chain.from_iterable(q.columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +630,10 @@ def _array_standardization_laws(mode: Mode, arr: TwoRowedArray) -> Iterator[str]
     p_std = standardize_tableau(p, direction)
     if q_std != array_insert(TwoRowedArray(std_top, arr.bottom), mode).q:
         yield f"({arr}): recording standardization (top only)"
-    if q_std != array_insert(TwoRowedArray(std_top, std_bottom), mode).q:
+    both = array_insert(TwoRowedArray(std_top, std_bottom), mode)
+    if q_std != both.q:
         yield f"({arr}): recording standardization (both rows)"
-    if p_std != array_insert(TwoRowedArray(std_top, std_bottom), mode).p:
+    if p_std != both.p:
         yield f"({arr}): insertion standardization (both rows)"
     if p_std != array_insert(TwoRowedArray(arr.top, std_bottom), mode).p:
         yield f"({arr}): insertion standardization (bottom only)"

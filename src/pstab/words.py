@@ -155,7 +155,7 @@ def _parse_symbol(tok: str) -> Symbol:
                 return int(tok)
             base, index = tok.split("_")  # a ValueError unless exactly one "_"
             return StandardizedSymbol(int(base), int(index))
-    parts = tok.split("_")
+    parts = (tok[1:] if tok[:1] in ("+", "-") else tok).split("_")  # int() reads one leading sign
     if tok.isascii() and len(parts) <= 2 and all(map(str.isdigit, parts)):  # past int()'s digit limit
         raise InvalidInputError(f"symbol has more digits than int() reads; it starts {tok[:20]!r}")
     raise InvalidInputError(f"cannot parse symbol {tok!r}")

@@ -401,6 +401,8 @@ LONG = "1" * 5000
     (_verify("--max-n", LONG), "max_n has"),
     (["insert", "--mode", "lps", f"1 {LONG} 2"], "symbol has"),
     (["insert", "--mode", "lps", f"2_{LONG}"], "symbol has"),
+    (["insert", "--mode", "lps", "-" + LONG], "symbol has"),
+    (["insert", "--mode", "lps", "+" + LONG], "symbol has"),
 ])
 def test_integer_tokens_past_the_digit_limit_say_so(capsys, argv, message):
     # int() refuses more than 4300 digits by default; the message names that and quotes 20 characters
@@ -442,6 +444,24 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path):
     for source in ((deep,), ("--file", str(path))):
         code, out, err = run(capsys, "unrsk", "--mode", "lps", *source)
         assert (code, out) == (2, "") and err.startswith("error:")
+
+
+def test_json_integer_past_the_digit_limit_exits_2(capsys, tmp_path):
+    # json.loads reads integers with int(), which refuses more than 4300 digits by default
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python's int() has no digit limit")
+    pair = f'{{"p": {{"columns": [[{LONG}]]}}, "q": {{"columns": [[1]]}}}}'
+    path = tmp_path / "pair.json"
+    path.write_text(pair, encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for source in ((pair,), ("--file", str(path))):
+            code, out, err = run(capsys, "unrsk", "--mode", "lps", *source)
+            assert (code, out) == (2, "")
+            assert err == "error: pair holds an integer with more digits than int() reads\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_module_entry_point():

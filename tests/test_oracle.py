@@ -599,6 +599,8 @@ DEFECTS = {
         ("rps standardization laws", "66 violations, first: 1 1: standardized word inserts differently"),
         ("rps words inserting to a standardized tableau are standardizations",
          "26 violations, first: 1_2 1_1 inserts to Std(1 1)"),
+        ("rps word-level stable pairs are exactly the insertion image",
+         f"1 violations, first: 3 boxes: {STABLE_SET_SCAN} 3 pairs"),
     }),
     "standardize_always_right": ("standardize", lambda real: lambda word, direction="left": real(word, "right"), {
         ("lps array standardization laws",
@@ -608,6 +610,8 @@ DEFECTS = {
         ("lps standardization laws", "66 violations, first: 1 1: standardized word inserts differently"),
         ("lps words inserting to a standardized tableau are standardizations",
          "26 violations, first: 1_1 1_2 inserts to Std(1 1)"),
+        ("lps word-level stable pairs are exactly the insertion image",
+         f"1 violations, first: 3 boxes: {STABLE_SET_SCAN} 3 pairs"),
     }),
 }
 # the scale every entry of DEFECTS is measured at
