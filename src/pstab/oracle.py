@@ -16,7 +16,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, chain, combinations, combinations_with_replacement, pairwise, permutations, product
 from math import factorial
 from typing import Callable, Iterable, Iterator, Sequence
@@ -765,20 +765,27 @@ def _tableaux_per_shape(n: int, lam: Shape) -> tuple[int, int]:
     return hook_count(n, lam), len(enumerate_pstab(tuple(range(1, n + 1)), lam, method="direct"))
 
 
-def _enumerators_agree(n: int) -> tuple[str, str]:
+def _censuses(n: int, shapes: Iterable[Shape] | None = None) -> dict[Shape, dict[Tableau, int]]:
+    # the fiber census of each shape of n (default: every composition), shared by the cases that read it
+    alphabet = tuple(range(1, n + 1))
+    return {lam: fiber_census(alphabet, lam) for lam in (compositions(n) if shapes is None else shapes)}
+
+
+def _enumerators_agree(n: int, censuses: Callable[[], dict[Shape, dict[Tableau, int]]]) -> tuple[str, str]:
+    # the projection enumerator is the census's keys, as enumerate_pstab(method="project") sorts them
     alphabet = tuple(range(1, n + 1))
     agree = all(
         enumerate_pstab(alphabet, lam, method="direct")
         == enumerate_pstab(alphabet, lam, method="filter")
-        == enumerate_pstab(alphabet, lam, method="project")
+        == sorted(censuses()[lam], key=lambda t: t.columns)
         for lam in compositions(n)
     )
     return "agree", "agree" if agree else "disagree"
 
 
-def _fibers_uniform(n: int, lam: Shape) -> tuple[str, str]:
+def _fibers_uniform(n: int, lam: Shape, censuses: Callable[[], dict[Shape, dict[Tableau, int]]]) -> tuple[str, str]:
     alphabet = tuple(range(1, n + 1))
-    census = fiber_census(alphabet, lam)
+    census = censuses()[lam]
     expected_size = fiber_size(n, lam)
     expected = f"{hook_count(n, lam)} fibers of size {expected_size}"
     if set(census) != set(enumerate_pstab(alphabet, lam, method="direct")):
@@ -817,8 +824,11 @@ class _Entry:
 
     Without ``inputs``, ``check()`` returns ``(formula, observed)``.  With
     them, ``check(item)`` yields the violations found at each item of
-    ``inputs()``.  Fields hold module-level functions and partials of them,
-    so an entry pickles and a pool can be sent the entries themselves.
+    ``inputs()``.  With ``shared``, a computation that several cases read,
+    the check takes first a callable that returns its value; the entries
+    holding the same ``shared`` object run as one task, which computes it
+    once.  Fields hold module-level functions and partials of them, so an
+    entry pickles and a pool can be sent the entries themselves.
     """
 
     suite: str
@@ -826,6 +836,7 @@ class _Entry:
     case_input: str
     check: Callable
     inputs: Callable[[], Iterable] | None = None
+    shared: Callable[[], object] | None = None
 
 
 def _case_table(max_n: int, b: Budgets) -> Iterator[_Entry]:
@@ -840,6 +851,8 @@ def _case_table(max_n: int, b: Budgets) -> Iterator[_Entry]:
     word_sweep = f"words over A_{alphabet}, length <= {b.word_len}"
     array_sweep = f"arrays over A_{alphabet}, length <= {b.array_len}"
     formula_n = max(12, max_n)
+    # at n <= 6 the enumerator case and the fiber cases of n read one census of every shape of n
+    censuses = {n: partial(_censuses, n) for n in range(1, min(max_n, 6) + 1)}
 
     case = partial(_Entry, "insertion")
     for mode in MODE_SPECS:
@@ -910,11 +923,13 @@ def _case_table(max_n: int, b: Budgets) -> Iterator[_Entry]:
             yield case("standard tableaux per shape match hook count", f"n={n}, shape={lam}",
                        partial(_tableaux_per_shape, n, lam))
         if n <= 6:
-            yield case("three tableau enumerators agree", f"n={n}", partial(_enumerators_agree, n))
+            yield case("three tableau enumerators agree", f"n={n}", partial(_enumerators_agree, n),
+                       shared=censuses[n])
     for n in range(1, max_n + 1):
         for lam in compositions(n):
             yield case("projection fibers uniform at the predicted size", f"n={n}, shape={lam}",
-                       partial(_fibers_uniform, n, lam))
+                       partial(_fibers_uniform, n, lam),
+                       shared=censuses[n] if n in censuses else partial(_censuses, n, (lam,)))
     for n in range(1, max_n + 1):
         yield case("insertion image over standard words has Bell size, modes agree", f"n={n}",
                    partial(_standard_image_has_bell_size, n))
@@ -927,15 +942,19 @@ def _case_table(max_n: int, b: Budgets) -> Iterator[_Entry]:
                _projection_laws, partial(_small_fillings, min(max_n, 4)))
 
 
-def _run_entry(entry: _Entry) -> CaseResult:
-    """Run one case; a sweep that checks no input, or an exception, fails it."""
+def _run_entry(entry: _Entry, shared: Callable[[], object] | None = None) -> CaseResult:
+    """Run one case; a sweep that checks no input, or an exception, fails it.
+
+    ``shared``, the cached computation of the case's task, goes to the check first.
+    """
+    check = entry.check if shared is None else partial(entry.check, shared)
     try:
         if entry.inputs is None:
-            formula, observed = entry.check()
+            formula, observed = check()
         else:
             formula, checked, bad = "0 violations", 0, []
             for checked, item in enumerate(entry.inputs(), 1):
-                bad.extend(entry.check(item))
+                bad.extend(check(item))
             if not checked:
                 observed = "empty sweep"
             else:
@@ -946,13 +965,24 @@ def _run_entry(entry: _Entry) -> CaseResult:
     return CaseResult(entry.suite, entry.name, entry.case_input, formula, observed, formula == observed)
 
 
+def _run_task(task: tuple[_Entry, ...]) -> list[CaseResult]:
+    """Run the cases of one task in order.  What they share is computed once,
+    when a case first asks for it, and dropped with the task; a computation
+    that raises is not kept, so each case that asks fails with its error."""
+    shared = task[0].shared and cache(task[0].shared)
+    return [_run_entry(entry, shared) for entry in task]
+
+
 def verify_suite(max_n: int = 4, budgets: Budgets | None = None, jobs: int = 1) -> VerificationReport:
     """Run every cross-check of the package at the given scale.
 
     ``max_n`` bounds the n-indexed case families (bijections, Bell numbers,
     tableau enumerations, fiber sweeps); ``budgets`` bounds the word, array,
-    and evaluation sweeps.  ``jobs`` worker processes share the cases, capped
-    by the CPU count and the number of cases.  Failures become report
+    and evaluation sweeps.  ``jobs`` worker processes share the tasks, capped
+    by the CPU count and the number of tasks.  A task is one case, or the
+    cases that share a computation; the multi-case tasks go first, the
+    largest first, then the single cases in table order, and each result
+    returns to its case's place in the report.  Failures become report
     entries, never exceptions: a case that raises, or whose sweep checks no
     input, fails on its own and every other case still runs.
     """
@@ -961,14 +991,21 @@ def verify_suite(max_n: int = 4, budgets: Budgets | None = None, jobs: int = 1) 
     budgets = budgets or Budgets()
     start = time.perf_counter()
     table = list(_case_table(max_n, budgets))
-    workers = min(jobs, os.cpu_count() or 1, len(table))
+    groups: dict[object, list[int]] = {}  # keyed by the shared computation, or by the slot of a case without one
+    for slot, entry in enumerate(table):
+        groups.setdefault(entry.shared or slot, []).append(slot)
+    slots = sorted(groups.values(), key=len, reverse=True)  # a stable sort: single cases keep table order
+    tasks = [tuple(table[slot] for slot in task) for task in slots]
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         from multiprocessing import Pool  # a serial run does not load the pool's modules
 
-        # one case per task: a few cases cost most of the run, so chunks of several would leave a worker idle
+        # one task at a time: a few tasks cost most of the run, so chunks of several would leave a worker idle
         with Pool(workers) as pool:
-            cases = pool.map(_run_entry, table, chunksize=1)
+            results = pool.map(_run_task, tasks, chunksize=1)
     else:
-        cases = [_run_entry(entry) for entry in table]
+        results = list(map(_run_task, tasks))
+    by_slot = dict(zip(chain.from_iterable(slots), chain.from_iterable(results)))
+    cases = [by_slot[slot] for slot in range(len(table))]
     elapsed = time.perf_counter() - start
     return VerificationReport(max_n=max_n, cases=cases, elapsed_seconds=elapsed)

@@ -32,6 +32,16 @@ Word = tuple[Symbol, ...]
 Evaluation = tuple[int, ...]
 
 
+def _quote(value: Any) -> str:
+    """``repr(value)`` for an error message, cut short with "...": a string
+    past 20 characters shows its first 20, as the digit-limit message quotes a
+    token, and any other repr past 40 characters its first 40."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 20 else f"{value[:20]!r}..."
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}..."
+
+
 def _check_int(value: Any, name: str, least: int | None = 1) -> int:
     """Return ``value`` if it is an int, not a bool, and at least ``least`` (None: any int).
 
@@ -41,7 +51,7 @@ def _check_int(value: Any, name: str, least: int | None = 1) -> int:
         if least is None or value >= least:
             return value
         raise InvalidInputError(f"{name} must be at least {least}")
-    raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    raise InvalidInputError(f"{name} must be an integer, got {_quote(value)}")
 
 
 def _parse_int(token: str, name: str, least: int = 1) -> int:
@@ -82,7 +92,7 @@ def check_word(syms: Iterable[Any], kind: type | None = None) -> Word:
             for part in sym if got is StandardizedSymbol else (sym,):
                 _check_int(part, "symbol")
         except InvalidInputError:
-            raise InvalidInputError(f"not a symbol: {sym!r}") from None
+            raise InvalidInputError(f"not a symbol: {_quote(sym)}") from None
         want = want or got
         if got is not want:
             kinds = "standardized" if want is StandardizedSymbol else "plain"
@@ -158,7 +168,7 @@ def _parse_symbol(tok: str) -> Symbol:
     parts = (tok[1:] if tok[:1] in ("+", "-") else tok).split("_")  # int() reads one leading sign
     if tok.isascii() and len(parts) <= 2 and all(map(str.isdigit, parts)):  # past int()'s digit limit
         raise InvalidInputError(f"symbol has more digits than int() reads; it starts {tok[:20]!r}")
-    raise InvalidInputError(f"cannot parse symbol {tok!r}")
+    raise InvalidInputError(f"cannot parse symbol {_quote(tok)}")
 
 
 def format_word(word: Iterable[Symbol]) -> str:

@@ -419,6 +419,27 @@ def test_integer_tokens_past_the_digit_limit_say_so(capsys, argv, message):
     assert err == f"error: {message} more digits than int() reads; it starts {token[:20]!r}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["insert", "--mode", "lps", "x" + LONG],
+    ["insert", "--mode", "lps", f"1 x{LONG}_1"],
+    ["count", "--mode", "lps", "x" + LONG],
+    ["hook", "--n", "x" + LONG, "--shape", "1"],
+    ["hook", "--n", "3", "--shape", "x" + LONG],
+    ["bell", "x" + LONG],
+    _verify("--max-n", "x" + LONG),
+    ["rsk", "--mode", "lps", "--array", f"1 / x{LONG}"],
+    # a JSON string, a list of 5,000 entries and a string index, each where a symbol belongs
+    ["unrsk", "--mode", "lps", f'{{"p": {{"columns": [["{LONG}"]]}}, "q": {{"columns": [[1]]}}}}'],
+    ["unrsk", "--mode", "lps", f'{{"p": {{"columns": [[[{", ".join(LONG)}]]]}}, "q": {{"columns": [[1]]}}}}'],
+    ["unrsk", "--mode", "lps", f'{{"p": {{"columns": [[[1, "{LONG}"]]]}}, "q": {{"columns": [[1]]}}}}'],
+])
+def test_long_bad_values_are_quoted_by_their_start(capsys, argv):
+    # one error line, whatever the length of the value it refuses
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, err[:200]
+    assert len(err.encode()) < 200, err[:200]
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "insert", "--mode", "lps", "--file", "/nonexistent/word.txt")
     assert code == 2

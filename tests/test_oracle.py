@@ -221,11 +221,15 @@ def test_mode_tableaux_with_zero_boxes():
 
 
 def test_verify_suite_parallel_jobs_agree_with_serial():
+    # the pool runs the multi-case tasks first; every result still lands in its table slot
     budgets = Budgets(word_len=2, array_len=2, eval_sum=3)
-    serial = verify_suite(max_n=2, budgets=budgets, jobs=1)
-    parallel = verify_suite(max_n=2, budgets=budgets, jobs=2)
+    serial = verify_suite(max_n=3, budgets=budgets, jobs=1)
+    parallel = verify_suite(max_n=3, budgets=budgets, jobs=2)
     assert parallel.passed and serial.passed
     assert [c.to_dict() for c in parallel.cases] == [c.to_dict() for c in serial.cases]
+    assert [(c.name, c.case_input) for c in serial.cases] == [
+        (entry.name, entry.case_input) for entry in _case_table(3, budgets)
+    ]
 
 
 @pytest.mark.parametrize("eval_sum", [1, 3])
@@ -253,31 +257,90 @@ def test_verify_suite_rejects_bad_jobs():
         verify_suite(max_n=1, budgets=Budgets(word_len=1, array_len=1, eval_sum=2), jobs=0)
 
 
-@pytest.mark.parametrize("jobs, cpus, expected", [(10**6, 8, 8), (10**6, 2, 2), (2, 8, 2), (1, 8, None)])
-def test_verify_suite_clamps_the_pool(monkeypatch, jobs, cpus, expected):
-    # the pool maps over cases one at a time, and these budgets give far more than eight
-    sizes = []
+class FakePool:
+    """``multiprocessing.Pool`` run in process, keeping the size of each pool and the tasks it was sent."""
 
-    class FakePool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    sizes: list[int] = []
+    tasks: list = []
 
-        def __enter__(self):
-            return self
+    def __init__(self, processes):
+        self.sizes.append(processes)
 
-        def __exit__(self, *exc):
-            return False
+    def __enter__(self):
+        return self
 
-        def map(self, func, items, chunksize):
-            assert chunksize == 1
-            return [func(item) for item in items]
+    def __exit__(self, *exc):
+        return False
 
+    def map(self, func, items, chunksize):
+        assert chunksize == 1
+        self.tasks.extend(items)
+        return [func(item) for item in items]
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
     # verify_suite imports the pool when it runs
+    monkeypatch.setattr(FakePool, "sizes", [])
+    monkeypatch.setattr(FakePool, "tasks", [])
     monkeypatch.setattr("multiprocessing.Pool", FakePool)
+    return FakePool
+
+
+@pytest.mark.parametrize("jobs, cpus, expected", [(10**6, 8, 8), (10**6, 2, 2), (2, 8, 2), (1, 8, None)])
+def test_verify_suite_clamps_the_pool(monkeypatch, fake_pool, jobs, cpus, expected):
+    # the pool maps over tasks one at a time, and these budgets give far more than eight
     monkeypatch.setattr("pstab.oracle.os.cpu_count", lambda: cpus)
     report = verify_suite(max_n=2, budgets=Budgets(word_len=1, array_len=1, eval_sum=2), jobs=jobs)
     assert report.passed
-    assert sizes == ([] if expected is None else [expected])
+    assert fake_pool.sizes == ([] if expected is None else [expected])
+
+
+def test_verify_suite_clamps_the_pool_to_the_tasks(monkeypatch, fake_pool):
+    # cases that share a computation are one task: 3 single cases and the census tasks of n=2 (3 cases) and n=1 (2)
+    import pstab.oracle as oracle
+
+    table = [_Entry("s", "single", "x", lambda: ("1", "1"))] * 3 + [
+        entry for entry in _case_table(2, Budgets(1, 1, 1)) if entry.shared is not None
+    ]
+    monkeypatch.setattr(oracle, "_case_table", lambda max_n, budgets: iter(table))
+    monkeypatch.setattr("pstab.oracle.os.cpu_count", lambda: 8)
+    report = verify_suite(max_n=2, jobs=8)
+    assert len(report.cases) == 8 and report.passed
+    assert fake_pool.sizes == [5]
+    assert [len(task) for task in fake_pool.tasks] == [3, 2, 1, 1, 1]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_suite_computes_each_census_once(monkeypatch, fake_pool, jobs):
+    # one census per shape of each n, which the enumerator case and the fiber cases of n share
+    import pstab.oracle as oracle
+
+    calls = []
+    real = oracle.fiber_census
+    monkeypatch.setattr(oracle, "fiber_census", lambda alphabet, shape: calls.append(shape) or real(alphabet, shape))
+    monkeypatch.setattr("pstab.oracle.os.cpu_count", lambda: 2)
+    report = verify_suite(max_n=4, budgets=Budgets(word_len=1, array_len=1, eval_sum=2), jobs=jobs)
+    assert report.passed
+    assert len(calls) == 15 and set(calls) == {lam for n in range(1, 5) for lam in compositions(n)}
+    assert fake_pool.sizes == ([] if jobs == 1 else [2])
+
+
+def test_verify_suite_submits_the_multi_case_tasks_first(monkeypatch, fake_pool):
+    # the census tasks of n = 4, 3, 2, 1 (the enumerator case and 2^(n-1) fiber cases), then every other case alone
+    monkeypatch.setattr("pstab.oracle.os.cpu_count", lambda: 2)
+    budgets = Budgets(word_len=1, array_len=1, eval_sum=2)
+    report = verify_suite(max_n=4, budgets=budgets, jobs=2)
+    table = list(_case_table(4, budgets))
+    assert [len(task) for task in fake_pool.tasks] == [9, 5, 3, 2] + [1] * (len(table) - 19)
+    for n, task in zip((4, 3, 2, 1), fake_pool.tasks):
+        assert [(entry.name, entry.case_input) for entry in task] == [
+            ("three tableau enumerators agree", f"n={n}"),
+            *(("projection fibers uniform at the predicted size", f"n={n}, shape={lam}") for lam in compositions(n)),
+        ]
+    singles = [(entry.name, entry.case_input) for entry in table if entry.shared is None]
+    assert [(task[0].name, task[0].case_input) for task in fake_pool.tasks[4:]] == singles
+    assert [(c.name, c.case_input) for c in report.cases] == [(entry.name, entry.case_input) for entry in table]
 
 
 def test_mode_tableaux_equal_insertion_images():

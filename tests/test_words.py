@@ -208,3 +208,35 @@ def test_check_word_plain_fast_path_keeps_every_rejection():
             check_word(bad)
     with pytest.raises(InvalidInputError, match="expected only standardized symbols"):
         check_word([1, 2], StandardizedSymbol)
+
+
+def test_messages_quote_only_the_start_of_a_long_value():
+    # a string is quoted whole up to 20 characters, then by its first 20; any other repr up to 40 characters
+    from pstab.words import _check_int, check_word
+
+    twenty, long = "x" * 20, "x" * 5000
+    for text, message in (
+        (twenty, f"cannot parse symbol {twenty!r}"),
+        (long, f"cannot parse symbol {twenty!r}..."),
+        (f"1 {long}_1", f"cannot parse symbol {twenty!r}..."),
+    ):
+        with pytest.raises(InvalidInputError) as exc:
+            parse_word(text)
+        assert str(exc.value) == message
+    for value, message in (
+        (twenty, f"n must be an integer, got {twenty!r}"),
+        (long, f"n must be an integer, got {twenty!r}..."),
+        ([1] * 13, f"n must be an integer, got {[1] * 13!r}"),
+        ([1] * 5000, f"n must be an integer, got {repr([1] * 14)[:40]}..."),
+    ):
+        with pytest.raises(InvalidInputError) as exc:
+            _check_int(value, "n")
+        assert str(exc.value) == message
+    for sym, message in (
+        (long, f"not a symbol: {twenty!r}..."),
+        (S(long, 1), "not a symbol: StandardizedSymbol(base='xxxxxxxxxxxxxxx..."),
+        (S(1, 0), "not a symbol: StandardizedSymbol(base=1, index=0)"),
+    ):
+        with pytest.raises(InvalidInputError) as exc:
+            check_word([sym])
+        assert str(exc.value) == message
