@@ -32,7 +32,7 @@ from .insertion import (
     mode_spec,
 )
 from .tableaux import _Value
-from .words import StandardizedSymbol, Symbol, Word
+from .words import StandardizedSymbol, Symbol, Word, _quote
 
 StablePairLevel = Literal["standard", "word", "array"]
 
@@ -73,7 +73,7 @@ class DashedPattern(_Value):
         blocks = []
         for part in text.split("-"):
             if not (part.isascii() and part.isdigit()):  # "".isdigit() is False
-                raise InvalidInputError(f"cannot parse pattern {text!r}")
+                raise InvalidInputError(f"cannot parse pattern {_quote(text)}")
             blocks.append(tuple(int(ch) for ch in part))
         return cls(tuple(blocks))
 
@@ -113,7 +113,7 @@ def _checked_spec(pair: TableauPair, mode: Mode, level: str) -> ModeSpec:
     """
     spec = mode_spec(mode)
     if level not in LEVELS:
-        raise InvalidInputError(f"level must be one of {LEVELS}, got {level!r}")
+        raise InvalidInputError(f"level must be one of {LEVELS}, got {_quote(level)}")
     # the classify flags each level requires of the first and second tableau
     flags = {"standard": ("is_standard_ps",) * 2, "word": (spec.flag, "is_recording"),
              "array": (spec.flag,) * 2}
@@ -167,7 +167,7 @@ def rsk_inverse(
     pair.
     """
     if level not in ("word", "array"):
-        raise InvalidInputError(f"level must be 'word' or 'array', got {level!r}")
+        raise InvalidInputError(f"level must be 'word' or 'array', got {_quote(level)}")
     arr = _preimage(pair, _checked_spec(pair, mode, level))
     if arr is None:
         raise NotInStablePairsError(

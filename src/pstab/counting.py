@@ -15,14 +15,14 @@ and nothing divides.
 from __future__ import annotations
 
 from functools import cache
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, product, repeat
 from math import comb, factorial, prod
 from operator import sub
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError
 from .tableaux import Shape, Tableau
-from .words import Evaluation, _check_int, _parse_int
+from .words import Evaluation, _check_int, _parse_int, _quote
 
 Count = int
 
@@ -77,26 +77,38 @@ def bracket_rps(m_tail: Sequence[int], j1: int, j: Sequence[int]) -> Count:
     return result
 
 
-def count_lps(m: Iterable[int]) -> Count:
-    """Number of distinct lPS tableaux with evaluation ``m``.
-
-    A dynamic program over the running top t = m_1 + j_2 + ... + j_{a-1} of
-    :func:`bracket_lps`: step a multiplies by C(t, m_a - j_a) and moves to
-    t + j_a, and the answer sums the final states.  That is
-    O(len(m) * sum(m) * max(m)) binomials instead of the prod(m_a + 1)
-    brackets of the literal sum, :func:`pstab.oracle.bracket_sum_lps`, which
-    checks it.  Zero entries of ``m`` are dropped first; they cannot change
-    the count.
-    """
-    ev = _normalize_evaluation(m)
-    ways = {ev[0]: 1}
-    for m_a in ev[1:]:
-        step: dict[int, int] = {}
-        for top, w in ways.items():
-            for j in range(max(0, m_a - top), m_a + 1):  # C(top, m_a - j) = 0 below
-                step[top + j] = step.get(top + j, 0) + w * comb(top, m_a - j)
+def _fold(m: Iterable[int], factors: Callable[[int, int], tuple[int, Iterable[int]]]) -> dict[int, Count]:
+    """Tableaux with evaluation ``m`` by number of columns: from the empty
+    tableau (0 columns, one way), the m_a copies of each symbol take c columns
+    to c + j in the ways that ``factors(m_a, c)`` lists from its least j on.
+    Zero entries of ``m`` are dropped first; they cannot change a count."""
+    ways = {0: 1}
+    for m_a in _normalize_evaluation(m):
+        step: dict[int, Count] = {}
+        for c, w in ways.items():
+            least, weights = factors(m_a, c)
+            for k, f in enumerate(weights, c + least):
+                step[k] = step.get(k, 0) + w * f
         ways = step
-    return sum(ways.values())
+    return ways
+
+
+def _lps_factors(m_a: int, c: int) -> tuple[int, Iterable[int]]:
+    # c is bracket_lps's running top: j copies open columns, m_a - j top distinct old ones, C(c, m_a - j) ways
+    return max(0, m_a - c), map(comb, repeat(c), range(min(m_a, c), -1, -1))
+
+
+def _rps_factors(m_a: int, c: int) -> tuple[int, Iterable[int]]:
+    # c - 1 is bracket_rps's 0-1 sum: j <= 1 copies open a column, the rest stack on a multiset of c + j columns
+    return 0, (comb(m_a + c - 1, m_a), comb(m_a + c - 1, m_a - 1))
+
+
+def count_lps(m: Iterable[int]) -> Count:
+    """Number of distinct lPS tableaux with evaluation ``m``: the sum of
+    :func:`_fold` by :func:`_lps_factors`, O(len(m) * sum(m) * max(m))
+    binomials instead of the prod(m_a + 1) brackets of the literal sum,
+    :func:`pstab.oracle.bracket_sum_lps`, which checks it."""
+    return sum(_fold(m, _lps_factors).values())
 
 
 def count_lps_rec(m: Iterable[int]) -> Count:
@@ -116,24 +128,11 @@ def count_lps_rec(m: Iterable[int]) -> Count:
 
 
 def count_rps(m: Iterable[int]) -> Count:
-    """Number of distinct rPS tableaux with evaluation ``m``.
-
-    A dynamic program over the running 0-1 sum ``acc`` of :func:`bracket_rps`
-    (lead j_1 = 0): step a multiplies by C(m_a + acc, m_a - j_a) for
-    j_a in {0, 1}.  That is O(len(m)^2) binomials instead of the 2^(n-1)
-    brackets of the literal sum, :func:`pstab.oracle.bracket_sum_rps`, which
-    checks it.  The result never depends on the first evaluation entry:
-    every copy of the smallest symbol sits in the first column.
-    """
-    ev = _normalize_evaluation(m)
-    ways = [1]  # ways[acc]
-    for m_a in ev[1:]:
-        step = [0] * (len(ways) + 1)
-        for acc, w in enumerate(ways):
-            step[acc] += w * binomial(m_a + acc, m_a)
-            step[acc + 1] += w * binomial(m_a + acc, m_a - 1)
-        ways = step
-    return sum(ways)
+    """Number of distinct rPS tableaux with evaluation ``m``: the sum of
+    :func:`_fold` by :func:`_rps_factors`, O(len(m)^2) binomials instead of the
+    2^(n-1) brackets of the literal sum, :func:`pstab.oracle.bracket_sum_rps`,
+    which checks it.  The first symbol has one way, so m_1 never matters."""
+    return sum(_fold(m, _rps_factors).values())
 
 
 def count_rps_rec(m: Iterable[int]) -> Count:
@@ -200,7 +199,7 @@ def compositions(n: int) -> Iterator[Shape]:
 def _check_shape(n: int, shape: Sequence[int]) -> tuple[int, ...]:
     lam = tuple(_check_int(x, "shape part") for x in shape)
     if sum(lam) != n:
-        raise InvalidInputError(f"shape {lam!r} is not a composition of {n}")
+        raise InvalidInputError(f"shape {_quote(lam)} is not a composition of {_quote(n)}")
     return lam
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
 from .errors import InvalidInputError
 from .tableaux import Tableau, _Value, classify
-from .words import Direction, Symbol, Word, check_word, format_word, parse_word
+from .words import Direction, Symbol, Word, _quote, check_word, format_word, parse_word
 
 Mode = Literal["lps", "rps"]
 
@@ -134,7 +134,7 @@ def mode_spec(mode: str) -> ModeSpec:
     """The table entry of ``mode``; rejects anything but 'lps' and 'rps'."""
     spec = MODE_SPECS.get(mode) if isinstance(mode, str) else None
     if spec is None:
-        raise InvalidInputError(f"mode must be 'lps' or 'rps', got {mode!r}")
+        raise InvalidInputError(f"mode must be 'lps' or 'rps', got {_quote(mode)}")
     return spec
 
 
@@ -142,7 +142,7 @@ def _checked_pair(pair: TableauPair, p_flag: str | None, q_flag: str) -> None:
     """Refuse ``pair`` unless its tableaux share a shape and have the named classify flags (None: any)."""
     p, q = pair
     if p.shape != q.shape:
-        raise InvalidInputError(f"tableau shapes differ: {p.shape} vs {q.shape}")
+        raise InvalidInputError(f"tableau shapes differ: {_quote(p.shape)} vs {_quote(q.shape)}")
     for name, t, flag in (("first", p, p_flag), ("second", q, q_flag)):
         if flag is not None and not getattr(classify(t), flag):
             raise InvalidInputError(f"{name} tableau is not {_KINDS[flag]} tableau")
@@ -197,7 +197,7 @@ def array_insert(arr: TwoRowedArray, mode: Mode) -> TableauPair:
     """
     spec = mode_spec(mode)
     if not spec.is_valid_array(arr):
-        raise InvalidInputError(f"array ({arr}) is not {spec.array_kind}")
+        raise InvalidInputError(f"array ({_quote(arr, str)}) is not {spec.array_kind}")
     return _insert_pairs(zip(arr.bottom, arr.top), spec)
 
 

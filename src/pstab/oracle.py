@@ -62,7 +62,7 @@ from .tableaux import (
     reverse_columns,
     standardize_tableau,
 )
-from .words import Symbol, Word, _check_int, check_word, destandardize, evaluation, format_word, standardize
+from .words import Symbol, Word, _check_int, _quote, check_word, destandardize, evaluation, format_word, standardize
 
 # ---------------------------------------------------------------------------
 # enumerators
@@ -176,11 +176,11 @@ def enumerate_pstab(
 
     * ``direct``: recursive construction respecting the column and bottom-row
       orders (fast, no filtering);
-    * ``filter``: classify every distinct-symbol filling;
-    * ``project``: collect the image of :func:`pstab.counting.ps_project`
-      over every filling.
+    * ``filter``: classify every distinct-symbol filling.
 
-    The three methods must agree; the verification suite cross-checks them.
+    The two methods must agree; the verification suite cross-checks them with
+    the keys of :func:`fiber_census`, the image of
+    :func:`pstab.counting.ps_project` over every filling.
     """
     symbols = check_word(alphabet)
     if list(symbols) != sorted(set(symbols)):
@@ -195,10 +195,8 @@ def enumerate_pstab(
             batch = [Tableau._from_tuples(cols) for cols in _pstab_direct(symbols, lam)]
         elif method == "filter":
             batch = [t for t in fillings(symbols, lam) if classify(t).is_standard_ps]
-        elif method == "project":
-            batch = list(fiber_census(symbols, lam))
         else:
-            raise InvalidInputError(f"unknown method {method!r}")
+            raise InvalidInputError(f"unknown method {_quote(method)}")
         out.extend(sorted(batch, key=lambda t: t.columns))
     return out
 
@@ -772,7 +770,7 @@ def _censuses(n: int, shapes: Iterable[Shape] | None = None) -> dict[Shape, dict
 
 
 def _enumerators_agree(n: int, censuses: Callable[[], dict[Shape, dict[Tableau, int]]]) -> tuple[str, str]:
-    # the projection enumerator is the census's keys, as enumerate_pstab(method="project") sorts them
+    # the projection enumerator is the census's keys, sorted as enumerate_pstab sorts a shape's tableaux
     alphabet = tuple(range(1, n + 1))
     agree = all(
         enumerate_pstab(alphabet, lam, method="direct")

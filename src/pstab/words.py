@@ -10,7 +10,7 @@ comparison realizes the indexed-alphabet order.
 from __future__ import annotations
 
 from contextlib import suppress
-from typing import Any, Iterable, Literal, NamedTuple, Union
+from typing import Any, Callable, Iterable, Literal, NamedTuple, Union
 
 from .errors import InvalidInputError
 
@@ -32,13 +32,18 @@ Word = tuple[Symbol, ...]
 Evaluation = tuple[int, ...]
 
 
-def _quote(value: Any) -> str:
-    """``repr(value)`` for an error message, cut short with "...": a string
+def _quote(value: Any, render: Callable[[Any], str] = repr) -> str:
+    """``render(value)`` for an error message, cut short with "...": a string
     past 20 characters shows its first 20, as the digit-limit message quotes a
-    token, and any other repr past 40 characters its first 40."""
+    token, and any other rendering past 40 characters its first 40.  A value
+    that cannot be rendered (it holds an int past ``int``'s digit limit) is
+    named by its type."""
     if isinstance(value, str):
         return repr(value) if len(value) <= 20 else f"{value[:20]!r}..."
-    text = repr(value)
+    try:
+        text = render(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
     return text if len(text) <= 40 else f"{text[:40]}..."
 
 
@@ -96,7 +101,7 @@ def check_word(syms: Iterable[Any], kind: type | None = None) -> Word:
         want = want or got
         if got is not want:
             kinds = "standardized" if want is StandardizedSymbol else "plain"
-            raise InvalidInputError(f"expected only {kinds} symbols, got {sym}")
+            raise InvalidInputError(f"expected only {kinds} symbols, got {_quote(sym, str)}")
     return out
 
 
@@ -110,7 +115,7 @@ def standardize(word: Iterable[int], direction: Direction = "left") -> tuple[Sta
     """
     plain = check_word(word, int)
     if direction not in ("left", "right"):
-        raise InvalidInputError(f"direction must be 'left' or 'right', got {direction!r}")
+        raise InvalidInputError(f"direction must be 'left' or 'right', got {_quote(direction)}")
     seen: dict[int, int] = {}
     out: list[StandardizedSymbol] = []
     for base in plain if direction == "left" else reversed(plain):
@@ -133,7 +138,7 @@ def evaluation(word: Iterable[int], alphabet_size: int) -> Evaluation:
     counts = [0] * _check_int(alphabet_size, "alphabet_size", 0)
     for sym in check_word(word, int):
         if sym > alphabet_size:
-            raise InvalidInputError(f"symbol {sym} exceeds alphabet size {alphabet_size}")
+            raise InvalidInputError(f"symbol {_quote(sym)} exceeds alphabet size {_quote(alphabet_size)}")
         counts[sym - 1] += 1
     return tuple(counts)
 

@@ -432,6 +432,13 @@ def test_integer_tokens_past_the_digit_limit_say_so(capsys, argv, message):
     ["unrsk", "--mode", "lps", f'{{"p": {{"columns": [["{LONG}"]]}}, "q": {{"columns": [[1]]}}}}'],
     ["unrsk", "--mode", "lps", f'{{"p": {{"columns": [[[{", ".join(LONG)}]]]}}, "q": {{"columns": [[1]]}}}}'],
     ["unrsk", "--mode", "lps", f'{{"p": {{"columns": [[[1, "{LONG}"]]]}}, "q": {{"columns": [[1]]}}}}'],
+    # well-formed values that the refusal shows: a 3,000-part shape, a 4,001-column array, a 3,000-column
+    # pair whose second tableau has another shape, and a 4,000-digit plain symbol after a standardized one
+    ["hook", "--n", "5", "--shape", ",".join(["1"] * 3000)],
+    ["rsk", "--mode", "lps", "--array", " ".join(["2"] * 2000 + ["1", "/"] + ["1"] * 2001)],
+    ["unrsk", "--mode", "lps", json.dumps({"p": {"columns": [[1]] * 3000},
+                                           "q": {"columns": [[1, 2]] + [[k] for k in range(3, 3001)]}})],
+    ["insert", "--mode", "lps", "1_1 " + "1" * 4000],
 ])
 def test_long_bad_values_are_quoted_by_their_start(capsys, argv):
     # one error line, whatever the length of the value it refuses

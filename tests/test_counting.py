@@ -84,6 +84,15 @@ def test_count_lps_skips_bottom_rows_that_cannot_occur():
     assert time.perf_counter() - start < 1.0
 
 
+def test_first_step_from_the_empty_tableau_is_forced():
+    # the first symbol's copies open all their columns in lPS and one in rPS, in one way, whatever m_1
+    start = time.perf_counter()
+    assert count_lps((10**18,)) == 1
+    assert count_lps((10**18, 1)) == 10**18 + 1
+    assert count_rps((10**18, 2, 3)) == count_rps((1, 2, 3))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_count_rps_worked_values():
     assert count_rps((2, 1, 2)) == 9
     assert count_rps((3, 4)) == 5

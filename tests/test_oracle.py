@@ -135,7 +135,6 @@ def test_enumerate_pstab_methods_agree():
         for lam in compositions(n):
             direct = enumerate_pstab(alphabet, lam, method="direct")
             assert direct == enumerate_pstab(alphabet, lam, method="filter")
-            assert direct == enumerate_pstab(alphabet, lam, method="project")
             assert direct == sorted(fiber_census(alphabet, lam), key=lambda t: t.columns)
             assert len(direct) == hook_count(n, lam)
 
@@ -149,7 +148,7 @@ def test_enumerate_pstab_validates_arguments():
         enumerate_pstab((1, 2), (3,))
     with pytest.raises(InvalidInputError):
         enumerate_pstab((1, 2), (1, 1), method="guess")
-    for method in ("direct", "filter", "project"):
+    for method in ("direct", "filter"):
         with pytest.raises(InvalidInputError):
             enumerate_pstab((0, 1), method=method)
         with pytest.raises(InvalidInputError):

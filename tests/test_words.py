@@ -1,4 +1,5 @@
 from itertools import product
+import sys
 
 from hypothesis import given, strategies as st
 import pytest
@@ -240,3 +241,33 @@ def test_messages_quote_only_the_start_of_a_long_value():
         with pytest.raises(InvalidInputError) as exc:
             check_word([sym])
         assert str(exc.value) == message
+    # str-style messages are cut the same way
+    for syms, message in (
+        ([S(1, 1), int("1" * 4000)], f"expected only standardized symbols, got {'1' * 40}..."),
+        ([1, S(2, 1)], "expected only plain symbols, got 2_1"),
+    ):
+        with pytest.raises(InvalidInputError) as exc:
+            check_word(syms)
+        assert str(exc.value) == message
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this Python's int() has no digit limit")
+def test_messages_name_a_value_too_long_to_print_by_its_type():
+    # repr and str of an int past the digit limit raise ValueError; the message must still be built
+    from pstab.words import _check_int, check_word
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for call, message in (
+            (lambda: check_word([S(10**5000, 0)]), "not a symbol: <StandardizedSymbol too long to print>"),
+            (lambda: check_word([-10**5000]), "not a symbol: <int too long to print>"),
+            (lambda: check_word([S(1, 1), 10**5000]), "expected only standardized symbols, got <int too long to print>"),
+            (lambda: _check_int([10**5000], "n"), "n must be an integer, got <list too long to print>"),
+            (lambda: evaluation([10**5000], 2), "symbol <int too long to print> exceeds alphabet size 2"),
+        ):
+            with pytest.raises(InvalidInputError) as exc:
+                call()
+            assert str(exc.value) == message
+    finally:
+        sys.set_int_max_str_digits(limit)
