@@ -17,9 +17,9 @@ _NAMES = {
     "oracle": """Budgets CaseResult VerificationReport bell_hook_sum bell_rowsum_terms bracket_sum_lps
         bracket_sum_rps count_set_partitions count_tableaux_bruteforce enumerate_pstab fiber_bruteforce
         fiber_census insertion_image is_stable_pair_scan verify_suite words_with_evaluation""",
-    "tableaux": """Shape Tableau TableauClass classify column_reading destandardize_tableau render_ascii
+    "tableaux": """Tableau TableauClass classify column_reading destandardize_tableau render_ascii
         render_latex reverse_columns standardize_tableau tableau_from_json tableau_to_json""",
-    "words": """Direction Evaluation StandardizedSymbol Symbol Word destandardize evaluation format_word
+    "words": """Direction Evaluation Shape StandardizedSymbol Symbol Word destandardize evaluation format_word
         is_standard parse_word standardize""",
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names.split()}

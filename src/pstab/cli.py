@@ -12,27 +12,27 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .correspondence import rsk, rsk_inverse
-from .counting import bell_hook, bell_rowsum, count_lps, count_rps, hook_count, parse_evaluation, parse_shape
 from .errors import InvalidInputError, NotInStablePairsError, PSTabError
-from .insertion import TableauPair, TwoRowedArray, extended_insert
-from .tableaux import (
-    classify,
-    render_ascii,
-    render_latex,
-    tableau_from_json,
-)
-from .words import StandardizedSymbol, _parse_int, format_word, parse_word
+from .words import StandardizedSymbol, _parse_int, _quote, format_word, parse_word
 
-# pstab.oracle is imported only inside the two commands that run it (verify,
-# bell --method oracle), and json only inside unrsk, so that no other request
-# loads them.  The layer imports above stay at module level: perfbench's
-# tracer times the layers by rebinding the names they bind here.
+if TYPE_CHECKING:
+    from .insertion import TableauPair
+
+# Each command imports the layers it runs when it runs, so a request loads
+# only those (README.md lists them): count, bell and hook skip compiling
+# tableaux, insertion and correspondence, milliseconds of each request when
+# there is no bytecode cache.  The oracle loads only for verify and bell
+# --method oracle, and json only for unrsk and verify --json.  perfbench's
+# tracer rebinds a layer function only where a module binds it at import, so
+# it does not time the calls these commands make.
 
 
 def _pair_from_json(obj: dict) -> TableauPair:
+    from .insertion import TableauPair
+    from .tableaux import tableau_from_json
+
     if not isinstance(obj, dict) or "p" not in obj or "q" not in obj:
         raise InvalidInputError("expected a JSON object with 'p' and 'q' keys")
     return TableauPair(tableau_from_json(obj["p"]), tableau_from_json(obj["q"]))
@@ -58,6 +58,8 @@ def _pair_json(pair: TableauPair) -> Iterator[str]:
 
 
 def _render_pair(pair: TableauPair, fmt: str) -> Iterable[str]:
+    from .tableaux import render_ascii, render_latex
+
     if fmt == "json":
         return _pair_json(pair)
     if fmt == "latex":
@@ -88,20 +90,29 @@ def _read_source(args: argparse.Namespace, inline: dict[str, str | None]) -> str
         raise InvalidInputError("no input given (pass it as an argument or with --file)")
     if not args.file:
         return inline[given[0]]
-    with open(args.file, encoding="utf-8") as handle:
+    try:
+        handle = open(args.file, encoding="utf-8")
+    except OSError as exc:  # its text holds the whole path, which may run to kilobytes
+        raise InvalidInputError(f"cannot open {_quote(args.file)}: {exc.strerror}") from exc
+    with handle:
         try:
             return handle.read().strip()
         except UnicodeDecodeError as exc:
-            raise InvalidInputError(f"{args.file} is not UTF-8 text: {exc}") from exc
+            raise InvalidInputError(f"{_quote(args.file)} is not UTF-8 text: {exc}") from exc
 
 
 def _cmd_insert(args: argparse.Namespace) -> int:
+    from .insertion import extended_insert
+
     word = parse_word(_read_source(args, {"an inline word": args.word}))
     _print_pair(extended_insert(word, args.mode), args.format)
     return 0
 
 
 def _cmd_rsk(args: argparse.Namespace) -> int:
+    from .correspondence import rsk
+    from .insertion import TwoRowedArray
+
     text = _read_source(args, {"--word": args.word, "--array": args.array})
     is_array = args.array is not None or (args.word is None and "/" in text)
     value = TwoRowedArray.parse(text) if is_array else parse_word(text)
@@ -111,6 +122,10 @@ def _cmd_rsk(args: argparse.Namespace) -> int:
 
 def _cmd_unrsk(args: argparse.Namespace) -> int:
     import json
+
+    from .correspondence import rsk_inverse
+    from .insertion import TwoRowedArray
+    from .tableaux import classify
 
     text = _read_source(args, {"an inline pair": args.pair})
     try:
@@ -151,6 +166,8 @@ def _print_count(value: int) -> None:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from .counting import count_lps, count_rps, parse_evaluation
+
     ev = parse_evaluation(args.evaluation)
     _print_count({"lps": count_lps, "rps": count_rps}[args.mode](ev))
     return 0
@@ -158,18 +175,20 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_bell(args: argparse.Namespace) -> int:
     n = _parse_int(args.n, "n")
-    if args.method == "rowsum":
-        _print_count(bell_rowsum(n))
-    elif args.method == "hook":
-        _print_count(bell_hook(n))
-    else:
+    if args.method == "oracle":
         from .oracle import count_set_partitions
 
         _print_count(count_set_partitions(n))
+    else:
+        from .counting import bell_hook, bell_rowsum
+
+        _print_count({"rowsum": bell_rowsum, "hook": bell_hook}[args.method](n))
     return 0
 
 
 def _cmd_hook(args: argparse.Namespace) -> int:
+    from .counting import hook_count, parse_shape
+
     _print_count(hook_count(_parse_int(args.n, "n"), parse_shape(args.shape)))
     return 0
 

@@ -18,11 +18,13 @@ from functools import cache
 from itertools import accumulate, chain, product, repeat
 from math import comb, factorial, prod
 from operator import sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError
-from .tableaux import Shape, Tableau
-from .words import Evaluation, _check_int, _parse_int, _quote
+from .words import Evaluation, Shape, _check_int, _parse_int, _quote
+
+if TYPE_CHECKING:  # ps_project builds its result with its input's class, so counting loads no tableaux
+    from .tableaux import Tableau
 
 Count = int
 
@@ -281,7 +283,7 @@ def ps_project(t: Tableau, alphabet: Sequence[int] | None = None) -> Tableau:
         flat[start], flat[k] = low, flat[start]
         projected.append(tuple(sorted(flat[start:end])))
         start = end
-    return Tableau._from_tuples(tuple(projected))
+    return type(t)._from_tuples(tuple(projected))
 
 
 def _parse_ints(text: str, what: str, least: int) -> tuple[int, ...]:

@@ -11,7 +11,6 @@ length 1, so no input is empty.  All enumeration orders are deterministic
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from collections import Counter
@@ -439,6 +438,8 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
+        import json  # only a --json report loads it
+
         return json.dumps(self.to_dict(), indent=2)
 
     def to_text(self) -> str:

@@ -26,9 +26,7 @@ import itertools
 from typing import Any, Iterable, NamedTuple
 
 from .errors import InvalidInputError
-from .words import Direction, Evaluation, StandardizedSymbol, Symbol, Word, check_word, evaluation, standardize
-
-Shape = tuple[int, ...]
+from .words import Direction, Evaluation, Shape, StandardizedSymbol, Symbol, Word, check_word, evaluation, standardize
 
 
 class _Value:

@@ -30,6 +30,7 @@ class StandardizedSymbol(NamedTuple):
 Symbol = Union[int, StandardizedSymbol]
 Word = tuple[Symbol, ...]
 Evaluation = tuple[int, ...]
+Shape = tuple[int, ...]
 
 
 def _quote(value: Any, render: Callable[[Any], str] = repr) -> str:

@@ -15,6 +15,7 @@ from pstab import (
     count_lps_rec, extended_insert, format_word, standardize, tableau_to_json,
 )
 from pstab.cli import _render_pair, main
+from pstab.words import _quote
 
 GOLDEN_ASCII = (
     "P:      Q:\n"
@@ -161,7 +162,7 @@ def test_json_pair_output_is_written_in_pieces(monkeypatch):
         return pair
 
     sink, held = Sink(), []
-    monkeypatch.setattr("pstab.cli.extended_insert", inserted)
+    monkeypatch.setattr("pstab.insertion.extended_insert", inserted)
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
@@ -279,7 +280,7 @@ def test_every_package_error_and_os_error_exits_2(capsys, monkeypatch):
         def fail(*args, error=error):
             raise error(f"{error.__name__} raised")
 
-        monkeypatch.setattr("pstab.cli.hook_count", fail)
+        monkeypatch.setattr("pstab.counting.hook_count", fail)
         assert run(capsys, "hook", "--n", "4", "--shape", "3,1") == (code, "", f"error: {error.__name__} raised\n")
 
 
@@ -439,6 +440,8 @@ def test_integer_tokens_past_the_digit_limit_say_so(capsys, argv, message):
     ["unrsk", "--mode", "lps", json.dumps({"p": {"columns": [[1]] * 3000},
                                            "q": {"columns": [[1, 2]] + [[k] for k in range(3, 3001)]}})],
     ["insert", "--mode", "lps", "1_1 " + "1" * 4000],
+    # a file path of about 4 KB, near the OS limit
+    ["insert", "--mode", "lps", "--file", "/nonexistent" + ("/" + "a" * 200) * 20],
 ])
 def test_long_bad_values_are_quoted_by_their_start(capsys, argv):
     # one error line, whatever the length of the value it refuses
@@ -461,7 +464,7 @@ def test_file_that_is_not_utf8_exits_2(capsys, tmp_path):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"\xff 1 2\n")
     code, _, err = run(capsys, "insert", "--mode", "lps", "--file", str(path))
-    assert code == 2 and err.startswith("error:") and str(path) in err
+    assert code == 2 and err.startswith(f"error: {_quote(str(path))} is not UTF-8 text: ")
 
 
 def test_deeply_nested_json_exits_2(capsys, tmp_path):

@@ -40,12 +40,12 @@ PUBLIC = {
         " words_with_evaluation"
     ),
     "tableaux": (
-        "Shape Tableau TableauClass classify column_reading destandardize_tableau render_ascii"
-        " render_latex reverse_columns standardize_tableau tableau_from_json tableau_to_json"
+        "Tableau TableauClass classify column_reading destandardize_tableau render_ascii render_latex"
+        " reverse_columns standardize_tableau tableau_from_json tableau_to_json"
     ),
     "words": (
-        "Direction Evaluation StandardizedSymbol Symbol Word destandardize evaluation format_word"
-        " is_standard parse_word standardize"
+        "Direction Evaluation Shape StandardizedSymbol Symbol Word destandardize evaluation"
+        " format_word is_standard parse_word standardize"
     ),
 }
 NAMES = [(module, name) for module, names in PUBLIC.items() for name in names.split()]
@@ -100,6 +100,30 @@ def test_request_path_does_not_load_the_oracle(argv, bare_modules):
     assert not (modules - bare_modules) & HEAVY
 
 
+COUNTING_ONLY = ({"counting"}, {"tableaux", "insertion", "correspondence", "oracle"})
+
+
+@pytest.mark.parametrize("argv, loaded, not_loaded", [
+    (("count", "--mode", "lps", "2,1,2"), *COUNTING_ONLY),
+    (("bell", "10"), *COUNTING_ONLY),
+    (("bell", "10", "--method", "hook"), *COUNTING_ONLY),
+    (("hook", "--n", "4", "--shape", "3,1"), *COUNTING_ONLY),
+    (("insert", "--mode", "lps", "2,1,2"), {"insertion", "tableaux"}, {"correspondence", "counting", "oracle"}),
+    (("rsk", "--mode", "rps", "--array", "1,1/2,1"), {"correspondence"}, {"counting", "oracle"}),
+    (("unrsk", "--mode", "lps", PAIR), {"correspondence"}, {"counting", "oracle"}),
+], ids=["count", "bell", "bell-hook", "hook", "insert", "rsk", "unrsk"])
+def test_each_command_loads_only_the_layers_it_runs(argv, loaded, not_loaded):
+    modules = _imported_modules("-m", "pstab", *argv)
+    assert {f"pstab.{name}" for name in loaded} <= modules
+    assert not {f"pstab.{name}" for name in not_loaded} & modules
+
+
+def test_help_loads_no_layer():
+    modules = {name for name in _imported_modules("-m", "pstab", "--help") if name.split(".")[0] == "pstab"}
+    assert "pstab.cli" in modules
+    assert modules <= {"pstab", "pstab.__main__", "pstab.cli", "pstab.errors", "pstab.words"}
+
+
 @pytest.mark.parametrize("code, loaded, not_loaded", [
     ("import pstab", set(), set(PUBLIC)),
     ("import pstab; pstab.count_lps", {"counting"}, {"insertion", "correspondence", "oracle"}),
@@ -118,11 +142,17 @@ def test_the_package_loads_a_module_when_one_of_its_names_is_first_used(code, lo
 def test_a_serial_oracle_request_does_not_load_the_pool(argv, bare_modules):
     modules = _imported_modules("-m", "pstab", *argv)
     assert "pstab.oracle" in modules
-    assert "multiprocessing" not in modules - bare_modules
+    # nor json, which only a --json report writes with
+    assert not {"multiprocessing", "json"} & (modules - bare_modules)
 
 
 def test_unrsk_loads_json_when_it_runs():
     assert "json" in _imported_modules("-m", "pstab", "unrsk", "--mode", "lps", PAIR)
+
+
+def test_a_json_verify_report_loads_json():
+    argv = ("verify", "--json", "--max-n", "1", "--word-len", "1", "--array-len", "1", "--eval-sum", "1")
+    assert "json" in _imported_modules("-m", "pstab", *argv)
 
 
 VALUES = [
