@@ -8,14 +8,14 @@ __version__ = "0.1.0"
 _NAMES = {
     "correspondence": "DashedPattern StablePairLevel is_stable_pair occurrences rsk rsk_inverse",
     "counting": """bell_hook bell_rowsum binomial bracket_lps bracket_rps compositions count_lps
-        count_lps_rec count_rps count_rps_rec fiber_size hook_count parse_evaluation parse_shape
-        ps_project stirling2""",
+        count_lps_rec count_rps count_rps_rec count_set_partitions fiber_size hook_count
+        parse_evaluation parse_shape ps_project stirling2""",
     "errors": """BudgetExceededError InternalError InvalidInputError NotInStablePairsError PSTabError
         ReverseInsertionError""",
     "insertion": """Mode TableauPair TwoRowedArray array_insert extended_insert ps_insert
         read_by_recording reverse_insertion""",
     "oracle": """Budgets CaseResult VerificationReport bell_hook_sum bell_rowsum_terms bracket_sum_lps
-        bracket_sum_rps count_set_partitions count_tableaux_bruteforce enumerate_pstab fiber_bruteforce
+        bracket_sum_rps count_tableaux_bruteforce enumerate_pstab fiber_bruteforce
         fiber_census insertion_image is_stable_pair_scan verify_suite words_with_evaluation""",
     "tableaux": """Tableau TableauClass classify column_reading destandardize_tableau render_ascii
         render_latex reverse_columns standardize_tableau tableau_from_json tableau_to_json""",

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import io
+import re
 import sys
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Sequence
 
 from .errors import InvalidInputError, NotInStablePairsError, PSTabError
 from .words import StandardizedSymbol, _parse_int, _quote, format_word, parse_word
@@ -23,10 +24,10 @@ if TYPE_CHECKING:
 # Each command imports the layers it runs when it runs, so a request loads
 # only those (README.md lists them): count, bell and hook skip compiling
 # tableaux, insertion and correspondence, milliseconds of each request when
-# there is no bytecode cache.  The oracle loads only for verify and bell
-# --method oracle, and json only for unrsk and verify --json.  perfbench's
-# tracer rebinds a layer function only where a module binds it at import, so
-# it does not time the calls these commands make.
+# there is no bytecode cache.  The oracle loads only for verify, and json only
+# for unrsk and verify --json.  perfbench's tracer rebinds a layer function
+# only where a module binds it at import, so it does not time the calls these
+# commands make.
 
 
 def _pair_from_json(obj: dict) -> TableauPair:
@@ -174,15 +175,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_bell(args: argparse.Namespace) -> int:
-    n = _parse_int(args.n, "n")
-    if args.method == "oracle":
-        from .oracle import count_set_partitions
+    from .counting import bell_hook, bell_rowsum, count_set_partitions
 
-        _print_count(count_set_partitions(n))
-    else:
-        from .counting import bell_hook, bell_rowsum
-
-        _print_count({"rowsum": bell_rowsum, "hook": bell_hook}[args.method](n))
+    methods = {"rowsum": bell_rowsum, "hook": bell_hook, "oracle": count_set_partitions}
+    _print_count(methods[args.method](_parse_int(args.n, "n")))
     return 0
 
 
@@ -203,8 +199,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, subparsers included, with each value that an error
+    line quotes whole (a bad choice, the unrecognized arguments) cut by the
+    rule of :func:`pstab.words._quote`; a short message keeps its bytes."""
+
+    def error(self, message: str) -> NoReturn:
+        if message.startswith("unrecognized arguments: "):
+            head, args = message.split(": ", 1)
+            message = f"{head}: {_quote(args.split(' '), ' '.join)}"
+        elif match := re.fullmatch(r"(argument [^:]*: invalid choice: )(.*)( \(choose from .*)", message):
+            head, text, tail = match.groups()
+            # text is repr(value): unicode_escape undoes its escapes, and latin-1 passes the other characters
+            value = text[1:-1].encode("latin-1", "backslashreplace").decode("unicode_escape")
+            message = head + _quote(value) + tail
+        super().error(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pstab",
         description="Patience sorting tableaux: insertion, correspondences, counting, verification.",
     )

@@ -6,21 +6,22 @@ numbers, the hook-length-style count of standard tableaux per composition
 shape, the matching fiber size of the sorting projection, and the projection
 itself.  The paper's literal sums (over every bottom row, every 0-1 row and
 every composition) are exponential; they live in :mod:`pstab.oracle` as
-cross-checks of the dynamic programs here.
+cross-checks of the dynamic programs here.  The one enumeration here is
+budgeted: the walk over set partitions, a third route to the Bell numbers.
 
 Everything is ordinary Python integer arithmetic, hence arbitrary precision,
-and nothing divides.
+and the one division, a step along a row of Pascal's triangle, is exact.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import accumulate, chain, product, repeat
+from itertools import accumulate, chain, product
 from math import comb, factorial, prod
 from operator import sub
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .errors import InvalidInputError
+from .errors import BudgetExceededError, InvalidInputError
 from .words import Evaluation, Shape, _check_int, _parse_int, _quote
 
 if TYPE_CHECKING:  # ps_project builds its result with its input's class, so counting loads no tableaux
@@ -96,8 +97,10 @@ def _fold(m: Iterable[int], factors: Callable[[int, int], tuple[int, Iterable[in
 
 
 def _lps_factors(m_a: int, c: int) -> tuple[int, Iterable[int]]:
-    # c is bracket_lps's running top: j copies open columns, m_a - j top distinct old ones, C(c, m_a - j) ways
-    return max(0, m_a - c), map(comb, repeat(c), range(min(m_a, c), -1, -1))
+    # c is bracket_lps's running top: j copies open columns, m_a - j top distinct old ones, C(c, m_a - j)
+    # ways, from one Pascal row C(c, 0..top) by the exact step C(c, k + 1) = C(c, k) * (c - k) // (k + 1)
+    top = min(m_a, c)
+    return m_a - top, reversed(list(accumulate(range(top), lambda x, k: x * (c - k) // (k + 1), initial=1)))
 
 
 def _rps_factors(m_a: int, c: int) -> tuple[int, Iterable[int]]:
@@ -175,6 +178,27 @@ def bell_rowsum(n: int) -> Count:
     ``count_lps((1,) * n)`` and ``count_rps((1,) * n)``.
     """
     return sum(_stirling_row(_check_int(n, "n"), n))
+
+
+def count_set_partitions(n: int, max_n: int = 12) -> int:
+    """Number of partitions of an n-element set, by direct enumeration.
+
+    Walks every restricted-growth assignment (element i joins one of the
+    existing blocks or opens a new one), so each partition is visited once.
+    That is B_n leaves, so ``n`` above ``max_n`` is refused up front.
+    """
+    if _check_int(n, "n", 0) > max_n:
+        raise BudgetExceededError(f"n={n} exceeds the set-partition budget of {max_n}")
+
+    def rec(i: int, blocks: int) -> int:
+        if i == n:
+            return 1
+        total = 0
+        for choice in range(blocks + 1):
+            total += rec(i + 1, blocks + (1 if choice == blocks else 0))
+        return total
+
+    return rec(0, 0)
 
 
 def stirling2(n: int, k: int) -> Count:

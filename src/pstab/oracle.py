@@ -34,6 +34,7 @@ from .counting import (
     count_lps_rec,
     count_rps,
     count_rps_rec,
+    count_set_partitions,
     fiber_size,
     hook_count,
     ps_project,
@@ -246,27 +247,6 @@ def count_tableaux_bruteforce(ev: Sequence[int], mode: Mode, max_total: int = 10
     evaluation ``ev``: the size of :func:`insertion_image`, which grows the
     words one symbol at a time and keeps each layer's distinct states."""
     return len(insertion_image(ev, mode, max_total))
-
-
-def count_set_partitions(n: int, max_n: int = 12) -> int:
-    """Number of partitions of an n-element set, by direct enumeration.
-
-    Walks every restricted-growth assignment (element i joins one of the
-    existing blocks or opens a new one), so each partition is visited once.
-    That is B_n leaves, so ``n`` above ``max_n`` is refused up front.
-    """
-    if _check_int(n, "n", 0) > max_n:
-        raise BudgetExceededError(f"n={n} exceeds the set-partition budget of {max_n}")
-
-    def rec(i: int, blocks: int) -> int:
-        if i == n:
-            return 1
-        total = 0
-        for choice in range(blocks + 1):
-            total += rec(i + 1, blocks + (1 if choice == blocks else 0))
-        return total
-
-    return rec(0, 0)
 
 
 # ---------------------------------------------------------------------------

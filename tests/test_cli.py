@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import random
@@ -14,6 +15,7 @@ from pstab import (
     BudgetExceededError, InternalError, InvalidInputError, NotInStablePairsError,
     count_lps_rec, extended_insert, format_word, standardize, tableau_to_json,
 )
+from pstab import cli
 from pstab.cli import _render_pair, main
 from pstab.words import _quote
 
@@ -448,6 +450,54 @@ def test_long_bad_values_are_quoted_by_their_start(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, err[:200]
     assert len(err.encode()) < 200, err[:200]
+
+
+def _usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    return captured.err
+
+
+# a value with quotes, escapes and non-ASCII characters in its first 20, then 5,000 more
+ODD = "a'b\"c\n\t\u0662\xe9\x00" + "x" * 5000
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["count", "--mode", ODD, "2,1,2"], f"count: error: argument --mode: invalid choice: {_quote(ODD)} ("),
+    (["bell", "5", "--method", LONG], f"bell: error: argument --method: invalid choice: {_quote(LONG)} ("),
+    (["rsk", "--mode", "lps", "--format", LONG], f"rsk: error: argument --format: invalid choice: {_quote(LONG)} ("),
+    (["unrsk", "--mode", "lps", "--level", LONG], f"unrsk: error: argument --level: invalid choice: {_quote(LONG)} ("),
+    (["count", "--mode", "lps", "2,1,2", LONG, "x"], f"pstab: error: unrecognized arguments: {'1' * 40}...\n"),
+    (["count", "--mode", "lps", "2,1,2", *["x"] * 3000], f"pstab: error: unrecognized arguments: {'x ' * 20}...\n"),
+], ids=["mode", "method", "format", "level", "unrecognized", "many-unrecognized"])
+def test_argparse_errors_cut_the_values_they_quote(capsys, argv, line):
+    err = _usage_error(capsys, argv)
+    assert err.startswith("usage: pstab ") and line in err and "Traceback" not in err
+    assert all(len(text.encode()) < 200 for text in err.splitlines()), err[:400]
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--mode", "ups", "2,1,2"],
+    ["bell", "5", "--method", "oracles"],
+    ["insert", "--mode", "lps", "--format", "yaml", "1"],
+    ["unrsk", "--mode", "lps", "--level", "\u0662\n'", "{}"],
+    ["count", "--mode", "lps", "2,1,2", "--zz", "a b", "x" * 20],
+    ["nosuch"],
+    ["count", "2,1,2"],
+])
+def test_short_argparse_errors_keep_their_bytes(capsys, monkeypatch, argv):
+    err = _usage_error(capsys, argv)
+    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    assert err == _usage_error(capsys, argv)
+
+
+def test_an_unrecognized_argument_reads_as_argparse_writes_it(capsys):
+    assert _usage_error(capsys, ["count", "--mode", "lps", "2,1,2", "--zz"]) == (
+        "usage: pstab [-h] {insert,rsk,unrsk,count,bell,hook,verify} ...\n"
+        "pstab: error: unrecognized arguments: --zz\n"
+    )
 
 
 def test_missing_file_exits_2(capsys):

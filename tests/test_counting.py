@@ -1,3 +1,4 @@
+import random
 import re
 import time
 from itertools import chain, product
@@ -121,6 +122,16 @@ def test_dp_counts_equal_literal_sums_and_recursions():
         for ev in product(range(1, 5), repeat=size):
             assert count_lps(ev) == bracket_sum_lps(ev) == count_lps_rec(ev), ev
             assert count_rps(ev) == bracket_sum_rps(ev) == count_rps_rec(ev), ev
+
+
+def test_lps_pascal_rows_equal_the_recursion_on_seeded_evaluations():
+    # the fold builds each row of binomials by C(c, k + 1) = C(c, k) * (c - k) // (k + 1);
+    # zeros and entries both below and above the running column count c take every branch
+    rng = random.Random(17)
+    for _ in range(40):
+        ev = tuple(rng.choice((0, rng.randint(1, 60))) for _ in range(rng.randint(1, 5)))
+        if any(ev):
+            assert count_lps(ev) == count_lps_rec(ev), ev
 
 
 def test_dp_counts_at_scale_match_recursion_and_invariances():

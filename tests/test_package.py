@@ -13,9 +13,9 @@ import pytest
 import pstab
 from pstab import (
     DashedPattern, InvalidInputError, Tableau, TableauPair, TwoRowedArray, bell_hook, bell_rowsum, compositions,
-    evaluation, fiber_size, hook_count, stirling2,
+    count_set_partitions, evaluation, fiber_size, hook_count, stirling2,
 )
-from pstab.oracle import bell_rowsum_terms, count_set_partitions, verify_suite
+from pstab.oracle import bell_rowsum_terms, verify_suite
 from pstab.insertion import MODE_SPECS, ModeSpec
 
 # every public name of the package, by the module that defines it
@@ -23,7 +23,8 @@ PUBLIC = {
     "correspondence": "DashedPattern StablePairLevel is_stable_pair occurrences rsk rsk_inverse",
     "counting": (
         "bell_hook bell_rowsum binomial bracket_lps bracket_rps compositions count_lps count_lps_rec"
-        " count_rps count_rps_rec fiber_size hook_count parse_evaluation parse_shape ps_project stirling2"
+        " count_rps count_rps_rec count_set_partitions fiber_size hook_count parse_evaluation parse_shape"
+        " ps_project stirling2"
     ),
     "errors": (
         "BudgetExceededError InternalError InvalidInputError NotInStablePairsError PSTabError"
@@ -35,7 +36,7 @@ PUBLIC = {
     ),
     "oracle": (
         "Budgets CaseResult VerificationReport bell_hook_sum bell_rowsum_terms bracket_sum_lps"
-        " bracket_sum_rps count_set_partitions count_tableaux_bruteforce enumerate_pstab"
+        " bracket_sum_rps count_tableaux_bruteforce enumerate_pstab"
         " fiber_bruteforce fiber_census insertion_image is_stable_pair_scan verify_suite"
         " words_with_evaluation"
     ),
@@ -92,6 +93,7 @@ def bare_modules() -> set[str]:
     ("-c", "import pstab.cli"),
     ("-m", "pstab", "count", "--mode", "lps", "2,1,2"),
     ("-m", "pstab", "hook", "--n", "4", "--shape", "3,1"),
+    ("-m", "pstab", "bell", "5", "--method", "oracle"),
     ("-m", "pstab", "insert", "--mode", "rps", "--format", "json", "4 6 2 3 2 1 4"),
 ])
 def test_request_path_does_not_load_the_oracle(argv, bare_modules):
@@ -107,11 +109,12 @@ COUNTING_ONLY = ({"counting"}, {"tableaux", "insertion", "correspondence", "orac
     (("count", "--mode", "lps", "2,1,2"), *COUNTING_ONLY),
     (("bell", "10"), *COUNTING_ONLY),
     (("bell", "10", "--method", "hook"), *COUNTING_ONLY),
+    (("bell", "5", "--method", "oracle"), *COUNTING_ONLY),
     (("hook", "--n", "4", "--shape", "3,1"), *COUNTING_ONLY),
     (("insert", "--mode", "lps", "2,1,2"), {"insertion", "tableaux"}, {"correspondence", "counting", "oracle"}),
     (("rsk", "--mode", "rps", "--array", "1,1/2,1"), {"correspondence"}, {"counting", "oracle"}),
     (("unrsk", "--mode", "lps", PAIR), {"correspondence"}, {"counting", "oracle"}),
-], ids=["count", "bell", "bell-hook", "hook", "insert", "rsk", "unrsk"])
+], ids=["count", "bell", "bell-hook", "bell-oracle", "hook", "insert", "rsk", "unrsk"])
 def test_each_command_loads_only_the_layers_it_runs(argv, loaded, not_loaded):
     modules = _imported_modules("-m", "pstab", *argv)
     assert {f"pstab.{name}" for name in loaded} <= modules
@@ -127,6 +130,7 @@ def test_help_loads_no_layer():
 @pytest.mark.parametrize("code, loaded, not_loaded", [
     ("import pstab", set(), set(PUBLIC)),
     ("import pstab; pstab.count_lps", {"counting"}, {"insertion", "correspondence", "oracle"}),
+    ("import pstab; pstab.count_set_partitions", {"counting"}, set(PUBLIC) - {"counting", "errors", "words"}),
     ("import pstab; pstab.tableaux.render_ascii", {"tableaux"}, {"counting", "oracle"}),
 ])
 def test_the_package_loads_a_module_when_one_of_its_names_is_first_used(code, loaded, not_loaded):
@@ -136,7 +140,6 @@ def test_the_package_loads_a_module_when_one_of_its_names_is_first_used(code, lo
 
 
 @pytest.mark.parametrize("argv", [
-    ("bell", "5", "--method", "oracle"),
     ("verify", "--max-n", "1", "--word-len", "1", "--array-len", "1", "--eval-sum", "1", "--jobs", "1"),
 ])
 def test_a_serial_oracle_request_does_not_load_the_pool(argv, bare_modules):
