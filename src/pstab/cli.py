@@ -201,14 +201,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, subparsers included, with each value that an error
-    line quotes whole (a bad choice, the unrecognized arguments) cut by the
-    rule of :func:`pstab.words._quote`; a short message keeps its bytes."""
+    line quotes whole (a bad choice, an ignored explicit argument, an
+    ambiguous option, the unrecognized arguments) cut by the rule of
+    :func:`pstab.words._quote`; a short message keeps its bytes."""
 
     def error(self, message: str) -> NoReturn:
         if message.startswith("unrecognized arguments: "):
             head, args = message.split(": ", 1)
             message = f"{head}: {_quote(args.split(' '), ' '.join)}"
-        elif match := re.fullmatch(r"(argument [^:]*: invalid choice: )(.*)( \(choose from .*)", message):
+        elif match := re.fullmatch(r"(ambiguous option: )(.*)( could match .*)", message, re.S):
+            head, option, tail = match.groups()
+            message = head + _quote(option.split(" "), " ".join) + tail
+        elif match := (re.fullmatch(r"(argument [^:]*: invalid choice: )(.*)( \(choose from .*)", message)
+                       or re.fullmatch(r"(argument [^:]*: ignored explicit argument )(.*)()", message)):
             head, text, tail = match.groups()
             # text is repr(value): unicode_escape undoes its escapes, and latin-1 passes the other characters
             value = text[1:-1].encode("latin-1", "backslashreplace").decode("unicode_escape")

@@ -471,7 +471,11 @@ ODD = "a'b\"c\n\t\u0662\xe9\x00" + "x" * 5000
     (["unrsk", "--mode", "lps", "--level", LONG], f"unrsk: error: argument --level: invalid choice: {_quote(LONG)} ("),
     (["count", "--mode", "lps", "2,1,2", LONG, "x"], f"pstab: error: unrecognized arguments: {'1' * 40}...\n"),
     (["count", "--mode", "lps", "2,1,2", *["x"] * 3000], f"pstab: error: unrecognized arguments: {'x ' * 20}...\n"),
-], ids=["mode", "method", "format", "level", "unrecognized", "many-unrecognized"])
+    (["insert", "--mode", "lps", f"--f={ODD}", "1"],
+     f"insert: error: ambiguous option: {f'--f={ODD}'[:40]}... could match --file, --format\n"),
+    ([f"--help={LONG}"], f"pstab: error: argument -h/--help: ignored explicit argument {_quote(LONG)}\n"),
+    (["count", f"-h={ODD}"], f"count: error: argument -h/--help: ignored explicit argument {_quote(ODD)}\n"),
+], ids=["mode", "method", "format", "level", "unrecognized", "many-unrecognized", "ambiguous", "help", "short-help"])
 def test_argparse_errors_cut_the_values_they_quote(capsys, argv, line):
     err = _usage_error(capsys, argv)
     assert err.startswith("usage: pstab ") and line in err and "Traceback" not in err
@@ -486,6 +490,9 @@ def test_argparse_errors_cut_the_values_they_quote(capsys, argv, line):
     ["count", "--mode", "lps", "2,1,2", "--zz", "a b", "x" * 20],
     ["nosuch"],
     ["count", "2,1,2"],
+    ["insert", "--mode", "lps", "--f=abc", "1"],
+    ["count", "-h=x"],
+    ["--help=\u0662\n'"],
 ])
 def test_short_argparse_errors_keep_their_bytes(capsys, monkeypatch, argv):
     err = _usage_error(capsys, argv)

@@ -32,8 +32,8 @@ from pstab import (
 )
 from pstab.counting import compositions
 from pstab.oracle import (
-    arrays_over, fillings, mode_tableaux, words_over, _case_table, _Entry, _positive_evaluations, _ps_insert_linear,
-    _run_entry,
+    arrays_over, fillings, mode_tableaux, words_over, _case_table, _Entry, _image_sizes, _positive_evaluations,
+    _ps_insert_linear, _run_entry,
 )
 
 
@@ -120,6 +120,42 @@ def test_insertion_image_refusals():
             sweep((6, 6), "lps", max_total=10)
         with pytest.raises(InvalidInputError, match="^mode must be"):
             sweep((1, 1), "xps")
+
+
+@pytest.mark.parametrize("mode", ["lps", "rps"])
+def test_the_walk_sizes_every_insertion_image_of_the_sweep(mode):
+    # one walk over every content of 4 entries with sum <= 8; a composition of fewer entries counts at itself
+    # padded with zeros
+    sizes = _image_sizes(mode, 4, 8)
+    assert set(sizes) == {c for c in product(range(9), repeat=4) if 1 <= sum(c) <= 8}
+    for c, size in sizes.items():
+        assert size == len(insertion_image(c, mode)), c
+    for ev in _positive_evaluations(8, 4):
+        assert sizes[ev + (0,) * (4 - len(ev))] == len(insertion_image(ev, mode)) == count_tableaux_bruteforce(ev, mode)
+    assert sum(sizes.values()) == {"lps": 18576, "rps": 9896}[mode]
+
+
+def test_a_walk_that_raises_fails_each_count_case_on_its_own(monkeypatch):
+    # the count cases of a mode share one walk; a computation that raises is not kept, so each case asks
+    # again and fails with the error, and every other case still runs
+    import pstab.oracle as oracle
+
+    calls = []
+
+    def broken(mode, parts, max_sum):
+        calls.append(mode)
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(oracle, "_image_sizes", broken)
+    budgets = Budgets(word_len=1, array_len=1, eval_sum=3)
+    report = verify_suite(max_n=2, budgets=budgets)
+    evaluations = _positive_evaluations(3, 4)
+    assert [(c.name, c.case_input) for c in report.failures()] == [
+        (f"{mode} tableau count, formula vs brute force", f"ev={ev}") for ev in evaluations for mode in ("lps", "rps")
+    ]
+    assert all((c.formula, c.oracle) == ("runs to completion", "RuntimeError: boom") for c in report.failures())
+    assert sorted(calls) == sorted(["lps", "rps"] * len(evaluations))
+    assert len(report.cases) == len(list(_case_table(2, budgets)))
 
 
 def test_enumerate_pstab_worked_examples():
@@ -296,18 +332,19 @@ def test_verify_suite_clamps_the_pool(monkeypatch, fake_pool, jobs, cpus, expect
 
 
 def test_verify_suite_clamps_the_pool_to_the_tasks(monkeypatch, fake_pool):
-    # cases that share a computation are one task: 3 single cases and the census tasks of n=2 (3 cases) and n=1 (2)
+    # cases that share a computation are one task: 3 single cases, the count tasks of lps and rps
+    # (3 evaluations each at sum <= 2) and the census tasks of n=2 (3 cases) and n=1 (2)
     import pstab.oracle as oracle
 
     table = [_Entry("s", "single", "x", lambda: ("1", "1"))] * 3 + [
-        entry for entry in _case_table(2, Budgets(1, 1, 1)) if entry.shared is not None
+        entry for entry in _case_table(2, Budgets(1, 1, 2)) if entry.shared is not None
     ]
     monkeypatch.setattr(oracle, "_case_table", lambda max_n, budgets: iter(table))
     monkeypatch.setattr("pstab.oracle.os.cpu_count", lambda: 8)
     report = verify_suite(max_n=2, jobs=8)
-    assert len(report.cases) == 8 and report.passed
-    assert fake_pool.sizes == [5]
-    assert [len(task) for task in fake_pool.tasks] == [3, 2, 1, 1, 1]
+    assert len(report.cases) == 14 and report.passed
+    assert fake_pool.sizes == [7]
+    assert [len(task) for task in fake_pool.tasks] == [3, 3, 3, 2, 1, 1, 1]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -326,19 +363,27 @@ def test_verify_suite_computes_each_census_once(monkeypatch, fake_pool, jobs):
 
 
 def test_verify_suite_submits_the_multi_case_tasks_first(monkeypatch, fake_pool):
-    # the census tasks of n = 4, 3, 2, 1 (the enumerator case and 2^(n-1) fiber cases), then every other case alone
+    # the multi-case tasks, the largest first and ties in table order: the census tasks of n = 4, 3, 2, 1
+    # (the enumerator case and 2^(n-1) fiber cases) and the count tasks of lps and rps (the 3 evaluations
+    # with sum <= 2), then every other case alone
     monkeypatch.setattr("pstab.oracle.os.cpu_count", lambda: 2)
     budgets = Budgets(word_len=1, array_len=1, eval_sum=2)
     report = verify_suite(max_n=4, budgets=budgets, jobs=2)
     table = list(_case_table(4, budgets))
-    assert [len(task) for task in fake_pool.tasks] == [9, 5, 3, 2] + [1] * (len(table) - 19)
-    for n, task in zip((4, 3, 2, 1), fake_pool.tasks):
-        assert [(entry.name, entry.case_input) for entry in task] == [
-            ("three tableau enumerators agree", f"n={n}"),
-            *(("projection fibers uniform at the predicted size", f"n={n}, shape={lam}") for lam in compositions(n)),
-        ]
+    assert [len(task) for task in fake_pool.tasks] == [9, 5, 3, 3, 3, 2] + [1] * (len(table) - 25)
+
+    def census(n):
+        fibers = (("projection fibers uniform at the predicted size", f"n={n}, shape={lam}") for lam in compositions(n))
+        return [("three tableau enumerators agree", f"n={n}"), *fibers]
+
+    def counts(mode):
+        return [(f"{mode} tableau count, formula vs brute force", f"ev={ev}") for ev in ((1,), (1, 1), (2,))]
+
+    assert [[(entry.name, entry.case_input) for entry in task] for task in fake_pool.tasks[:6]] == [
+        census(4), census(3), counts("lps"), counts("rps"), census(2), census(1)
+    ]
     singles = [(entry.name, entry.case_input) for entry in table if entry.shared is None]
-    assert [(task[0].name, task[0].case_input) for task in fake_pool.tasks[4:]] == singles
+    assert [(task[0].name, task[0].case_input) for task in fake_pool.tasks[6:]] == singles
     assert [(c.name, c.case_input) for c in report.cases] == [(entry.name, entry.case_input) for entry in table]
 
 
@@ -431,24 +476,26 @@ COUNT_FAMILIES = {f"{mode} tableau count, formula vs brute force" for mode in ("
 
 
 def test_verify_suite_catches_a_tableau_missing_from_the_insertion_image(monkeypatch):
+    # the count cases read their brute-force counts from the walk's table
     import pstab.oracle as oracle
 
-    real = oracle.insertion_image
+    real = oracle._image_sizes
 
-    def drop_one(ev, mode, max_total=10):
-        image = real(ev, mode, max_total)
-        if sum(m > 0 for m in ev) >= 2:
-            image.pop()
-        return image
+    def drop_one(mode, parts, max_sum):
+        return {c: size - (sum(m > 0 for m in c) >= 2) for c, size in real(mode, parts, max_sum).items()}
 
-    monkeypatch.setattr(oracle, "insertion_image", drop_one)
+    monkeypatch.setattr(oracle, "_image_sizes", drop_one)
     report = verify_suite(max_n=2, budgets=Budgets(word_len=1, array_len=1, eval_sum=3))
     assert {case.name for case in report.failures()} == COUNT_FAMILIES
 
 
 def test_verify_suite_fails_the_counts_on_an_empty_insertion_image(monkeypatch):
+    # empty images everywhere: the walk's table of zeros fails the counts, and the bottom-row case,
+    # which calls insertion_image, fails on its own
     import pstab.oracle as oracle
 
+    real = oracle._image_sizes
+    monkeypatch.setattr(oracle, "_image_sizes", lambda *args: dict.fromkeys(real(*args), 0))
     monkeypatch.setattr(oracle, "insertion_image", lambda ev, mode, max_total=10: set())
     report = verify_suite(max_n=2, budgets=Budgets(word_len=1, array_len=1, eval_sum=3))
     counts = [case for case in report.cases if case.name in COUNT_FAMILIES]
@@ -535,6 +582,11 @@ def _with_one_rps_row(real):
     return defect
 
 
+def _one_more_on_repeated_symbols(real):
+    """The walk's table, one too big at every content that repeats a symbol."""
+    return lambda mode, parts, max_sum: {c: size + (max(c) > 1) for c, size in real(mode, parts, max_sum).items()}
+
+
 def _bottom_row_reversed(real):
     """``reverse_insertion`` with the bottom row of its array reversed."""
     def defect(pair, mode):
@@ -611,7 +663,10 @@ DEFECTS = {
     }),
     "insertion_image_extra_column": ("insertion_image", _with_one_extra_column, {
         ("bottom row length within its bounds", "4 violations, first: ev=(1, 2), shape=(3,)"),
-        *(("lps tableau count, formula vs brute force", count) for count in ("2", "3", "4")),
+    }),
+    # the count cases read the walk's table: these are the counts that the two insertion_image defects moved
+    "image_sizes_one_more_on_repeats": ("_image_sizes", _one_more_on_repeated_symbols, {
+        (f"{mode} tableau count, formula vs brute force", count) for mode in ("lps", "rps") for count in ("2", "3", "4")
     }),
     "extended_insert_reads_21_as_12": ("extended_insert", _inserting_21_as_12, {
         ("standard-level stable pairs count", "2 stable pairs; insertion not injective on 2!"),
@@ -635,7 +690,6 @@ DEFECTS = {
     }),
     "insertion_image_rps_row": ("insertion_image", _with_one_rps_row, {
         ("bottom row length within its bounds", "4 violations, first: rps ev=(1, 2), shape=(1, 1, 1)"),
-        *(("rps tableau count, formula vs brute force", count) for count in ("2", "3", "4")),
     }),
     "reverse_insertion_bottom_reversed": ("reverse_insertion", _bottom_row_reversed, {
         ("lps array roundtrip", "27 violations, first: (1 1 / 1 2)"),
