@@ -65,6 +65,8 @@ from .tableaux import (
 )
 from .words import Symbol, Word, _check_int, _quote, check_word, destandardize, evaluation, format_word, standardize
 
+_IMAGE_BUDGET = 10  # the largest evaluation sum that insertion_image walks
+
 # ---------------------------------------------------------------------------
 # enumerators
 
@@ -236,13 +238,12 @@ def _image_walk(mode: Mode, bound: tuple[int, ...], total: int) -> Iterator[tupl
         layer = grown
 
 
-def insertion_image(ev: Sequence[int], mode: Mode, max_total: int = 10) -> set[Tableau]:
+def insertion_image(ev: Sequence[int], mode: Mode) -> set[Tableau]:
     """``{ps_insert(w, mode) for w in words_with_evaluation(ev)}``: the last
     content of the insertion walk bounded by ``ev``."""
-    _normalize_evaluation(ev)
-    total = sum(ev)
-    if total > max_total:
-        raise BudgetExceededError(f"evaluation sum {total} exceeds the budget of {max_total}")
+    total = sum(_normalize_evaluation(ev))
+    if total > _IMAGE_BUDGET:
+        raise BudgetExceededError(f"evaluation sum {total} exceeds the budget of {_IMAGE_BUDGET}")
     for _, tabs in _image_walk(mode, tuple(ev), total):
         pass
     return {Tableau._from_tuples(cols) for cols in tabs}
@@ -253,9 +254,9 @@ def _image_sizes(mode: Mode, parts: int, max_sum: int) -> dict[tuple[int, ...], 
     return {c: len(tabs) for c, tabs in _image_walk(mode, (max_sum,) * parts, max_sum)}
 
 
-def count_tableaux_bruteforce(ev: Sequence[int], mode: Mode, max_total: int = 10) -> int:
+def count_tableaux_bruteforce(ev: Sequence[int], mode: Mode) -> int:
     """The number of distinct tableaux that the words with evaluation ``ev`` insert to."""
-    return len(insertion_image(ev, mode, max_total))
+    return len(insertion_image(ev, mode))
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ class Tableau(_Value):
 
     # direct, not through _fields: verify compares and hashes ~10^5 tableaux
     def __eq__(self, other: Any) -> bool:
-        return isinstance(other, Tableau) and self.columns == other.columns
+        return self.columns == other.columns if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
         return hash(self.columns)

@@ -3,6 +3,7 @@ import io
 import json
 import random
 import re
+import signal
 import sys
 import tracemalloc
 from itertools import chain
@@ -211,6 +212,13 @@ def test_unrsk_refuses_bad_pairs_with_exit_2(capsys, level, p, q, message):
     assert (code, out, err) == (2, "", f"error: {message.format(kind)}\n")
 
 
+def test_unrsk_word_level_refuses_a_second_tableau_that_is_not_recording(capsys):
+    # [[1, 3]] is an lPS tableau, so only the word level refuses it
+    pair = json.dumps({"p": {"columns": [[1, 2]]}, "q": {"columns": [[1, 3]]}})
+    code, out, err = run(capsys, "unrsk", "--mode", "lps", "--level", "word", pair)
+    assert (code, out, err) == (2, "", "error: second tableau is not a recording tableau\n")
+
+
 def test_unrsk_level_flag(capsys):
     pair = json.dumps({"p": {"columns": [[1, 2, 4], [2, 3, 6], [4]]},
                        "q": {"columns": [[1, 3, 6], [2, 4, 5], [7]]}})
@@ -237,6 +245,23 @@ def test_counts_far_beyond_the_literal_sums(capsys):
     assert run(capsys, "bell", "40", "--method", "hook") == (0, bell_40, "")
     expected = str(count_lps_rec((60,) * 5))
     assert run(capsys, "count", "--mode", "lps", "60,60,60,60,60") == (0, expected, "")
+
+
+def test_count_answers_an_entry_far_above_the_running_top_at_once(capsys):
+    # the lPS count skips bottom rows that cannot occur; the timer makes a regression fail, not hang
+    if not hasattr(signal, "setitimer"):
+        pytest.skip("this platform has no interval timer")
+
+    def overdue(signum, frame):
+        pytest.fail("count --mode lps 1,100000000000 ran past 1 s")
+
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        assert run(capsys, "count", "--mode", "lps", "1,100000000000") == (0, "2", "")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_counts_print_in_full_beyond_the_digit_limit(capsys):

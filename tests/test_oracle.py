@@ -83,7 +83,7 @@ def test_count_tableaux_bruteforce_worked_values():
 
 def test_count_tableaux_bruteforce_budget():
     with pytest.raises(BudgetExceededError):
-        count_tableaux_bruteforce((6, 6), "lps", max_total=10)
+        count_tableaux_bruteforce((6, 6), "lps")
     for mode in ("lps", "rps"):
         with pytest.raises(BudgetExceededError, match="^evaluation sum 11 exceeds the budget of 10$"):
             count_tableaux_bruteforce((3, 3, 5), mode)
@@ -117,7 +117,7 @@ def test_insertion_image_refusals():
         with pytest.raises(InvalidInputError, match="^evaluation must have at least one positive entry$"):
             sweep((0, 0), "lps")
         with pytest.raises(BudgetExceededError, match="^evaluation sum 12 exceeds the budget of 10$"):
-            sweep((6, 6), "lps", max_total=10)
+            sweep((6, 6), "lps")
         with pytest.raises(InvalidInputError, match="^mode must be"):
             sweep((1, 1), "xps")
 
@@ -496,7 +496,7 @@ def test_verify_suite_fails_the_counts_on_an_empty_insertion_image(monkeypatch):
 
     real = oracle._image_sizes
     monkeypatch.setattr(oracle, "_image_sizes", lambda *args: dict.fromkeys(real(*args), 0))
-    monkeypatch.setattr(oracle, "insertion_image", lambda ev, mode, max_total=10: set())
+    monkeypatch.setattr(oracle, "insertion_image", lambda ev, mode: set())
     report = verify_suite(max_n=2, budgets=Budgets(word_len=1, array_len=1, eval_sum=3))
     counts = [case for case in report.cases if case.name in COUNT_FAMILIES]
     assert counts and not any(case.passed for case in counts)
@@ -552,8 +552,8 @@ def _swapping_one_one_columns(real):
 
 def _with_one_extra_column(real):
     """``insertion_image`` plus the one-column tableau of the evaluation's sorted word."""
-    def defect(ev, mode, max_total=10):
-        return real(ev, mode, max_total) | {Tableau([next(words_with_evaluation(ev))])}
+    def defect(ev, mode):
+        return real(ev, mode) | {Tableau([next(words_with_evaluation(ev))])}
 
     return defect
 
@@ -575,9 +575,9 @@ def _stacking_one_one(real):
 
 def _with_one_rps_row(real):
     """``insertion_image`` plus, in rps, the one-row tableau of the evaluation's sorted word."""
-    def defect(ev, mode, max_total=10):
+    def defect(ev, mode):
         row = [[sym] for sym in next(words_with_evaluation(ev))]
-        return real(ev, mode, max_total) | ({Tableau(row)} if mode == "rps" else set())
+        return real(ev, mode) | ({Tableau(row)} if mode == "rps" else set())
 
     return defect
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -178,6 +179,8 @@ def test_value_classes_keep_the_frozen_dataclass_semantics(cls, fields, other_fi
     value = cls(**fields)
     assert value == cls(*fields.values()) and hash(value) == hash(cls(*fields.values()))
     assert value != cls(**other_fields)
+    # another class's operand gets NotImplemented, so its own __eq__ decides
+    assert value.__eq__(object()) is NotImplemented and value == mock.ANY
     reference = dataclasses.make_dataclass(cls.__name__, list(fields), frozen=True)
     expected = OWN_REPR_AND_HASH.get(cls, (repr(reference(**fields)), hash(tuple(fields.values()))))
     assert (repr(value), hash(value)) == expected

@@ -66,6 +66,8 @@ def test_tableau_is_immutable_and_hashable():
         t.columns = ()
     assert t == Tableau([[1, 2], [3]])
     assert hash(t) == hash(Tableau([[1, 2], [3]]))
+    # equality holds within one class, as for a frozen dataclass: a subclass's instance differs
+    assert t != type("Sub", (Tableau,), {"__slots__": ()})(t.columns)
     assert t.shape == (2, 1)
     assert len(t) == 3
     assert t.bottom_row == (1, 3)
