@@ -311,19 +311,31 @@ def bell_hook_sum(n: int) -> Count:
     return sum(hook_count(n, lam) for lam in compositions(n))
 
 
-def _ps_insert_linear(word: Iterable, mode: Mode) -> Tableau:
-    # Reference insertion by level sets, sharing nothing with the bisecting loop: column i holds the
-    # symbols whose longest increasing subsequence ends at length i, the last one at the bottom.  The
-    # keys (symbol, k) in lps and (symbol, -k) in rps make that weakly increasing in lps, strictly in rps.
+def _level_sets(word: Sequence[Symbol], mode: Mode) -> TableauPair:
+    # Reference insertion by level sets, sharing nothing with the bisecting loop: column i of P holds the
+    # symbols whose longest increasing subsequence ends at length i, the last one at the bottom, and column i
+    # of Q their positions.  The keys (symbol, k) in lps and (symbol, -k) in rps make that weakly increasing
+    # in lps, strictly in rps.  A Fenwick tree of prefix maxima over the keys' ranks gives each length.
     sign = 1 if MODE_SPECS[mode].direction == "left" else -1
-    keys = [(sym, sign * k) for k, sym in enumerate(word)]
-    levels: list[int] = []
-    for key in keys:
-        levels.append(1 + max((lev for lev, earlier in zip(levels, keys) if earlier < key), default=0))
-    cols: list[list] = [[] for _ in range(max(levels, default=0))]
-    for (sym, _), lev in zip(keys, levels):
-        cols[lev - 1].insert(0, sym)
-    return Tableau(cols)
+    keys = [(sym, sign * k) for k, sym in enumerate(word, 1)]
+    ranks = [0] * len(keys)
+    for r, j in enumerate(sorted(range(len(keys)), key=keys.__getitem__), 1):
+        ranks[j] = r
+    tree = [0] * (len(keys) + 1)
+    p_cols: list[list] = []
+    q_cols: list[list] = []
+    for k, (sym, rank) in enumerate(zip(word, ranks), 1):
+        level, i = 0, rank
+        while i:
+            level, i = max(level, tree[i]), i & (i - 1)
+        while rank < len(tree):
+            tree[rank], rank = max(tree[rank], level + 1), rank + (rank & -rank)
+        if level == len(p_cols):
+            p_cols.append([])
+            q_cols.append([])
+        p_cols[level].append(sym)
+        q_cols[level].append(k)
+    return TableauPair(Tableau(col[::-1] for col in p_cols), Tableau(q_cols))
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +531,8 @@ def _insertion_well_formed(mode: Mode, alphabet_size: int, w: Word) -> Iterator[
         yield f"{format_word(w)}: recording tableau invalid"
     if p != ps_insert(w, mode):
         yield f"{format_word(w)}: plain and extended insertion differ"
-    if p != _ps_insert_linear(w, mode):
-        yield f"{format_word(w)}: binary search differs from linear scan"
+    if (p, q) != _level_sets(w, mode):
+        yield f"{format_word(w)}: insertion differs from its level sets"
     if reverse_columns(reverse_columns(p)) != p:
         yield f"{format_word(w)}: column reversal not an involution"
 

@@ -24,7 +24,7 @@ from pstab import (
     standardize,
     standardize_tableau,
 )
-from pstab.oracle import _ps_insert_linear
+from pstab.oracle import _level_sets
 
 words = st.lists(st.integers(min_value=1, max_value=4), max_size=9).map(tuple)
 modes = st.sampled_from(["lps", "rps"])
@@ -218,54 +218,33 @@ def test_insertion_rejects_bad_symbols(word, mode):
     modes,
     st.sampled_from([None, "left", "right"]),
 )
-def test_ps_insert_matches_extended_and_linear_insertion_at_scale(length, alphabet, seed, mode, direction):
+def test_ps_insert_matches_extended_insertion_and_level_sets_at_scale(length, alphabet, seed, mode, direction):
     size = {"two": 2, "fifty": 50, "length": max(length, 1)}[alphabet]
     rng = random.Random(seed)
     word = tuple(rng.randint(1, size) for _ in range(length))
     if direction is not None:
         word = standardize(word, direction)
-    p = ps_insert(word, mode)
-    assert p == extended_insert(word, mode).p
-    assert p == _ps_insert_linear(word, mode)
+    pair = extended_insert(word, mode)
+    assert ps_insert(word, mode) == pair.p
+    assert pair == _level_sets(word, mode)
 
 
-def _level_set_pair(word, mode):
-    """P and Q from the level sets of L(k), the length of the longest weakly (lps) or strictly (rps)
-    increasing subsequence ending at position k: column i of P holds the symbols with L = i, the last
-    at the bottom, and column i of Q their positions.  L comes from a Fenwick tree of prefix maxima
-    over the symbol values."""
-    tree = [0] * (max(word, default=0) + 1)
-    p_cols, q_cols = [], []
-    for k, sym in enumerate(word, 1):
-        level, i = 0, sym - (mode == "rps")
-        while i:
-            level, i = max(level, tree[i]), i & (i - 1)
-        level += 1
-        i = sym
-        while i < len(tree):
-            tree[i], i = max(tree[i], level), i + (i & -i)
-        if level > len(p_cols):
-            p_cols.append([])
-            q_cols.append([])
-        p_cols[level - 1].append(sym)
-        q_cols[level - 1].append(k)
-    return TableauPair(Tableau([col[::-1] for col in p_cols]), Tableau(q_cols))
-
-
-def test_level_set_pair_worked_examples():
-    assert _level_set_pair(GOLDEN_WORD, "lps") == (GOLDEN_P, GOLDEN_Q)
-    assert _level_set_pair((), "rps") == (Tableau(), Tableau())
+def test_level_sets_worked_examples():
+    assert _level_sets(GOLDEN_WORD, "lps") == (GOLDEN_P, GOLDEN_Q)
+    assert _level_sets((), "rps") == (Tableau(), Tableau())
     # a repeat extends a weakly increasing subsequence (a new column in lps), never a strictly increasing one
-    assert _level_set_pair((1, 1), "lps") == (Tableau([[1], [1]]), Tableau([[1], [2]]))
-    assert _level_set_pair((1, 1), "rps") == (Tableau([[1, 1]]), Tableau([[1, 2]]))
+    assert _level_sets((1, 1), "lps") == (Tableau([[1], [1]]), Tableau([[1], [2]]))
+    assert _level_sets((1, 1), "rps") == (Tableau([[1, 1]]), Tableau([[1, 2]]))
 
 
 @settings(max_examples=10, deadline=None)
-@given(st.sampled_from([2, 50, 10_000]), st.integers(0, 2**32), modes)
-def test_insertion_at_scale_is_the_level_sets_of_longest_increasing_subsequences(alphabet, seed, mode):
+@given(st.sampled_from([2, 50, 10_000]), st.integers(0, 2**32), modes, st.sampled_from([None, "left", "right"]))
+def test_insertion_at_scale_is_the_level_sets_of_longest_increasing_subsequences(alphabet, seed, mode, direction):
     rng = random.Random(seed)
     word = tuple(rng.randint(1, alphabet) for _ in range(10_000))
-    assert extended_insert(word, mode) == _level_set_pair(word, mode)
+    if direction is not None:
+        word = standardize(word, direction)
+    assert extended_insert(word, mode) == _level_sets(word, mode)
 
 
 def test_reverse_insertion_error_carries_location():

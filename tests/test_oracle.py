@@ -22,6 +22,7 @@ from pstab import (
     count_set_partitions,
     count_tableaux_bruteforce,
     enumerate_pstab,
+    extended_insert,
     fiber_bruteforce,
     fiber_census,
     hook_count,
@@ -33,7 +34,7 @@ from pstab import (
 from pstab.counting import compositions
 from pstab.oracle import (
     arrays_over, fillings, mode_tableaux, words_over, _case_table, _Entry, _image_sizes, _positive_evaluations,
-    _ps_insert_linear, _run_entry,
+    _level_sets, _run_entry,
 )
 
 
@@ -243,12 +244,12 @@ def test_count_set_partitions_refuses_n_above_its_budget():
     assert count_set_partitions(6, max_n=6) == 203
 
 
-def test_linear_reference_matches_bisect_insertion():
+def test_level_sets_match_bisect_insertion():
     # the 6,560 word-mode pairs over A_3 of length at most 7
     for mode in ("lps", "rps"):
         for length in range(8):
             for w in words_over(3, length):
-                assert _ps_insert_linear(w, mode) == ps_insert(w, mode)
+                assert _level_sets(w, mode) == extended_insert(w, mode)
 
 
 def test_mode_tableaux_with_zero_boxes():
@@ -757,7 +758,7 @@ def _flipped(t):
 
 
 def _unflipped_insert(real):
-    """``extended_insert`` that leaves its first tableau's columns top-first."""
+    """A pair-valued insertion, such as ``extended_insert``, that leaves its first tableau's columns top-first."""
     return lambda w, mode: TableauPair(_flipped(real(w, mode).p), real(w, mode).q)
 
 
@@ -765,25 +766,23 @@ def _unflipped_insert(real):
 # the violations that then fire on the word 2 1 2 over A_2
 INSERTION_DEFECTS = {
     "unflipped_p_columns": ("extended_insert", _unflipped_insert, [
-        "output not {mode}", "plain and extended insertion differ", "binary search differs from linear scan",
+        "output not {mode}", "plain and extended insertion differ", "insertion differs from its level sets",
     ]),
     "ps_insert_reverses_columns": ("ps_insert", lambda real: lambda w, mode: Tableau(
         real(w, mode).columns[::-1]
     ), ["plain and extended insertion differ"]),
-    "linear_reference_flips_columns": ("_ps_insert_linear", lambda real: lambda w, mode: _flipped(
-        real(w, mode)
-    ), ["binary search differs from linear scan"]),
+    "level_sets_flip_columns": ("_level_sets", _unflipped_insert, ["insertion differs from its level sets"]),
     # an off-by-one slice that drops each column's bottom box, leaving a one-box column empty
     "reversal_drops_boxes": ("reverse_columns", lambda real: lambda t: Tableau._from_tuples(
         tuple(col[:0:-1] for col in t.columns)
     ), ["column reversal not an involution"]),
     "q_not_recording": ("extended_insert", lambda real: lambda w, mode: TableauPair(
         real(w, mode).p, Tableau(tuple(x + 1 for x in col) for col in real(w, mode).q.columns)
-    ), ["recording tableau invalid"]),
+    ), ["recording tableau invalid", "insertion differs from its level sets"]),
     # 2 1 2 inserts to two columns, the last of one box
     "p_drops_a_box": ("extended_insert", lambda real: lambda w, mode: TableauPair(
         Tableau(real(w, mode).p.columns[:-1]), real(w, mode).q
-    ), ["evaluation changed", "plain and extended insertion differ", "binary search differs from linear scan"]),
+    ), ["evaluation changed", "plain and extended insertion differ", "insertion differs from its level sets"]),
 }
 
 
